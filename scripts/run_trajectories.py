@@ -29,7 +29,7 @@ def main() -> int:
         omega_tau_g=args.omega_tau_g, beta_bar=1.0)
     psi0 = fock.superposition01(args.dim)
     n_steps = int(round(args.t_end / args.dt))
-    sample_every = n_steps // 10
+    sample_every = max(1, n_steps // 10)
 
     ens = trajectories.ensemble_average(
         psi0, params, args.n_traj, args.seed, dt=args.dt, n_steps=n_steps,

@@ -123,6 +123,10 @@ class RunConfig:
             raise ConfigError("dim must be at least 3")
         if self.dt <= 0 or self.t_end < 0:
             raise ConfigError("dt must be positive and t_end non-negative")
+        if self.sample_every < 1 or self.chunk_size < 1:
+            raise ConfigError("sample_every and chunk_size must be at least 1")
+        if self.n_traj < 100:
+            raise ConfigError("n_traj must be at least 100")
         if self.kernel not in ("delta", "exponential"):
             raise ConfigError(f"unknown kernel {self.kernel!r}")
         if self.kernel == "exponential" and self.omega_tau_kernel <= 0:
@@ -253,6 +257,9 @@ def cmd_simulate(cfg: RunConfig) -> int:
 
 
 def cmd_ensemble(cfg: RunConfig) -> int:
+    if cfg.model not in ("gup-markov", "gup-nonmarkov"):
+        raise ConfigError(f"ensemble unravels the deformation noise of the gup "
+                          f"models; model {cfg.model!r} has none")
     params = cfg.model_params()
     psi0 = cfg.parse_state(cfg.dim)
     n_steps = max(1, int(round(cfg.t_end / cfg.dt)))

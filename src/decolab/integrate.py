@@ -49,16 +49,29 @@ class EvolutionResult:
 
     def to_csv(self, path, observables: Sequence[str]) -> None:
         """Write `t_omega,t_seconds,<obs>...` rows for the declared observables."""
-        cols = [self.expect(name) for name in observables]
-        with open(path, "w") as fh:
-            fh.write("t_omega,t_seconds," + ",".join(observables) + "\n")
-            for i, t in enumerate(self.times_omega):
-                row = [f"{t:.12g}", f"{self.times_seconds[i]:.12g}"]
-                row += [f"{c[i]:.12g}" for c in cols]
-                fh.write(",".join(row) + "\n")
+        _write_csv(path, self.times_omega, self.omega,
+                   [(name, self.expect(name)) for name in observables])
+
+
+def _write_csv(path, times_omega: np.ndarray, omega: float, columns) -> None:
+    """Write `t_omega,t_seconds,<name>...` rows from (name, values) pairs."""
+    with open(path, "w") as fh:
+        fh.write("t_omega,t_seconds," + ",".join(name for name, _ in columns) + "\n")
+        for i, t in enumerate(times_omega):
+            row = [f"{t:.12g}", f"{t / omega:.12g}"]
+            row += [f"{values[i]:.12g}" for _, values in columns]
+            fh.write(",".join(row) + "\n")
 
 
 _OBS_RE = re.compile(r"^(re_|im_|abs_)?rho_(\d+)_?(\d+)$")
+
+
+def _parse_observable(name: str) -> tuple[str | None, int, int]:
+    """(prefix, i, j) of an observable name like `re_rho_01`."""
+    m = _OBS_RE.match(name)
+    if not m:
+        raise ValueError(f"cannot parse observable {name!r}")
+    return m.group(1), int(m.group(2)), int(m.group(3))
 
 
 def observable(name: str) -> Callable[[np.ndarray], float]:
@@ -68,13 +81,7 @@ def observable(name: str) -> Callable[[np.ndarray], float]:
     re_/im_/abs_ prefix.  Two-digit suffixes split in the middle; longer
     indices use an underscore (`rho_10_10`).
     """
-    m = _OBS_RE.match(name)
-    if not m:
-        raise ValueError(f"cannot parse observable {name!r}")
-    prefix, i, j = m.group(1), m.group(2), m.group(3)
-    if m.group(3) is None:
-        raise ValueError(f"cannot parse observable {name!r}")
-    i, j = int(i), int(j)
+    prefix, i, j = _parse_observable(name)
     if prefix == "re_":
         return lambda rho: float(np.real(rho[i, j]))
     if prefix == "im_":

@@ -1,10 +1,14 @@
 """Stochastic-Schrödinger Monte-Carlo engine for the fluctuating deformation.
 
-Each trajectory applies per-step unitaries exp(-i [H' dt + 4 ap_hw K² dW])
-(Stratonovich-consistent; norm conserved by construction), with dW drawn from
-a white or Ornstein-Uhlenbeck deformation noise.  Averaging |psi><psi| over
-trajectories reproduces the corresponding master equation, which is exactly
-what the ensemble runs are used to validate.
+Each trajectory takes Strang split steps (Strang, SIAM J. Numer. Anal. 5,
+1968) exp(-i H' dt/2) exp(-i 4 ap_hw dW K²) exp(-i H' dt/2), unitary and so
+norm-conserving, with dW drawn from a white or Ornstein-Uhlenbeck deformation
+noise.  With (Λ, V) = eigh(K²), kets are carried as phi = V† exp(-i H' dt/2)
+psi: a step is the phase exp(-i 4 ap_hw dW Λ) and one product with the
+constant W = V† exp(-i H' dt) V, and the half step is undone at samples only.
+Averaged over a white increment the step is exactly exp(L_H dt/2) exp(L_D dt)
+exp(L_H dt/2), a second-order splitting of the master equation that the
+ensemble runs are used to validate.
 
 Determinism: every trajectory draws from its own (seed, stream) counter-based
 RNG, and the ensemble reduction is an index-ordered sum, so results are
@@ -18,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import generators
+from . import generators, integrate
 from .exceptions import ResolutionError, UnsupportedCombinationError
 from .generators import ModelParams
 
@@ -82,16 +86,6 @@ def sample_noise(kind: str, kappa_dimless: float, tau: float, dt: float,
     return NoisePath(dt=dt, increments=inc, kind=kind, tau=tau, seed=seed, stream=stream)
 
 
-def _step_batch(psis: np.ndarray, h_diag: np.ndarray, k2: np.ndarray,
-                eps: float, dws: np.ndarray, dt: float) -> np.ndarray:
-    """Apply exp(-i (H' dt + eps K² dW)) to a batch of kets via batched eigh."""
-    gen = dt * h_diag[None, :, :] + (eps * dws)[:, None, None] * k2[None, :, :]
-    evals, vecs = np.linalg.eigh(gen)
-    phases = np.exp(-1j * evals)
-    rotated = np.einsum("bij,bj->bi", vecs.conj().transpose(0, 2, 1), psis)
-    return np.einsum("bij,bj->bi", vecs, phases * rotated)
-
-
 def evolve_trajectory(psi0: np.ndarray, params: ModelParams, noise: NoisePath,
                       *, sample_every: int = 1):
     """Propagate one pure state under a frozen noise realization.
@@ -113,21 +107,27 @@ def evolve_trajectory(psi0: np.ndarray, params: ModelParams, noise: NoisePath,
 def _run_batch(psis: np.ndarray, params: ModelParams, increments: np.ndarray,
                dt: float, sample_every: int):
     dim = psis.shape[1]
-    h = generators.h_rwa(dim, params.beta_bar, params.ap_hw)
-    k2 = np.asarray(generators._k2_op(dim))
-    eps = 4.0 * params.ap_hw
+    levels = generators.rwa_levels(dim, params.beta_bar, params.ap_hw)
+    half = np.exp(-0.5j * dt * levels)
+    lam, v = np.linalg.eigh(generators._k2_op(dim))
+    # Kets are (1, dim) rows of a stack, so every product is its own call: one
+    # BLAS product over the batch rounds a one-row batch differently, which
+    # would make results depend on the chunking.  As rows, phi = (psi half) V*
+    # and a step multiplies by W^T = V^T exp(-i H' dt) V*.
+    prop = (v.T * np.exp(-1j * dt * levels)) @ v.conj()
+    phase_rates = -4j * params.ap_hw * lam
     n_steps = increments.shape[1]
 
     times = [0.0]
     samples = [psis.copy()]
-    cur = psis
+    phi = (psis * half)[:, None, :] @ v.conj()
     for k in range(n_steps):
-        cur = _step_batch(cur, h, k2, eps, increments[:, k], dt)
+        phase = np.exp(increments[:, k, None, None] * phase_rates)
+        phi = (phase * phi) @ prop
         if (k + 1) % sample_every == 0 or k == n_steps - 1:
-            norm = np.linalg.norm(cur, axis=1, keepdims=True)
-            cur = cur / norm
+            phi /= np.linalg.norm(phi, axis=2, keepdims=True)
             times.append((k + 1) * dt)
-            samples.append(cur.copy())
+            samples.append(((phi @ v.T) * half.conj())[:, 0, :])
     return np.array(times), np.array(samples)
 
 
@@ -142,28 +142,15 @@ class EnsembleResult:
     omega: float = 1.0
 
     def to_csv(self, path, observables) -> None:
-        from .integrate import observable
         cols = {}
         for name in observables:
-            f = observable(name)
+            f = integrate.observable(name)
             cols[name] = np.array([f(s) for s in self.mean_states])
             # stderr of a matrix-element observable: combined Re/Im error of
             # the underlying element (conservative for re_/im_ projections).
-            cols["stderr_" + name] = np.array(
-                [self._elem_err(name, i) for i in range(len(self.times_omega))])
-        with open(path, "w") as fh:
-            names = list(cols)
-            fh.write("t_omega,t_seconds," + ",".join(names) + "\n")
-            for i, t in enumerate(self.times_omega):
-                row = [f"{t:.12g}", f"{t / self.omega:.12g}"]
-                row += [f"{cols[n][i]:.12g}" for n in names]
-                fh.write(",".join(row) + "\n")
-
-    def _elem_err(self, name: str, i: int) -> float:
-        import re as _re
-        m = _re.match(r"^(?:re_|im_|abs_)?rho_(\d+)_?(\d+)$", name)
-        a, b = int(m.group(1)), int(m.group(2))
-        return float(self.stderr[i, a, b])
+            _, a, b = integrate._parse_observable(name)
+            cols["stderr_" + name] = self.stderr[:, a, b]
+        integrate._write_csv(path, self.times_omega, self.omega, cols.items())
 
 
 def ensemble_average(psi0: np.ndarray, params: ModelParams, n_traj: int,
@@ -185,9 +172,7 @@ def ensemble_average(psi0: np.ndarray, params: ModelParams, n_traj: int,
     tau = params.kernel.tau * params.omega if params.kernel.kind == "exponential" else 0.0
 
     sum_rho = None
-    sum_sq = None   # elementwise |rho_traj|² accumulator split into re/im
-    sum_re = None
-    sum_im = None
+    sum_sq = None   # elementwise |rho_traj|² accumulator
     for start in range(0, n_traj, chunk_size):
         count = min(chunk_size, n_traj - start)
         inc = np.stack([
@@ -198,21 +183,16 @@ def ensemble_average(psi0: np.ndarray, params: ModelParams, n_traj: int,
                                  params, inc, dt, sample_every)
         rhos = np.einsum("tbi,tbj->tbij", kets, kets.conj())
         if sum_rho is None:
-            shape = rhos.shape[0:1] + rhos.shape[2:]
-            sum_rho = np.zeros(shape, dtype=complex)
-            sum_re = np.zeros(shape)
-            sum_im = np.zeros(shape)
-            sum_sq = np.zeros(shape)
+            sum_rho = np.zeros(rhos.shape[0:1] + rhos.shape[2:], dtype=complex)
+            sum_sq = np.zeros(sum_rho.shape)
         # strict index-order accumulation: bit-identical for any chunking
         for j in range(count):
             r = rhos[:, j]
             sum_rho += r
-            sum_re += np.real(r)
-            sum_im += np.imag(r)
             sum_sq += np.real(r) ** 2 + np.imag(r) ** 2
 
     mean = sum_rho / n_traj
-    var = sum_sq / n_traj - (sum_re / n_traj) ** 2 - (sum_im / n_traj) ** 2
+    var = sum_sq / n_traj - (sum_rho.real / n_traj) ** 2 - (sum_rho.imag / n_traj) ** 2
     stderr = np.sqrt(np.maximum(var, 0.0) / n_traj)
     return EnsembleResult(times_omega=times, mean_states=mean, stderr=stderr,
                           n_traj=n_traj, omega=params.omega)

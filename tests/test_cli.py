@@ -32,6 +32,14 @@ class TestConfigFile:
         cfg = write_config(tmp_path, model="lindblad")
         assert main(["simulate", "--config", cfg]) == 2
 
+    @pytest.mark.parametrize("bad", [{"sample_every": 0}, {"n_traj": 50},
+                                     {"chunk_size": 0}])
+    def test_ensemble_counts_out_of_range_are_exit_2(self, tmp_path, capsys, bad):
+        cfg = write_config(tmp_path, model="gup-markov", omega_tau_g=500.0,
+                           dim=6, t_end=0.5, dt=0.05, **bad)
+        assert main(["ensemble", "--config", cfg]) == 2
+        assert next(iter(bad)) in capsys.readouterr().err
+
     def test_comments_and_blanks_ignored(self, tmp_path):
         path = tmp_path / "c.cfg"
         path.write_text("\n# full line comment\nmodel = damping-only  # trailing\n\n")
@@ -106,6 +114,15 @@ class TestEnsemble:
         # no noise: identical trajectories up to the cancellation error of the
         # running-variance accumulator
         assert stderr < 1e-6
+
+    @pytest.mark.parametrize("model", ["breuer", "damping-only"])
+    def test_model_without_deformation_noise_is_exit_2(self, tmp_path, capsys,
+                                                       model):
+        cfg = write_config(tmp_path, model=model, omega_tau_d=50.0, dim=12,
+                           initial_state="superposition01", t_end=5.0,
+                           n_traj=100)
+        assert main(["ensemble", "--config", cfg]) == 2
+        assert model in capsys.readouterr().err
 
 
 class TestFitAndBounds:

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.linalg import expm
 
 from decolab import fock, generators, integrate, trajectories
 from decolab.exceptions import ResolutionError, UnsupportedCombinationError
@@ -62,6 +63,53 @@ class TestSingleTrajectory:
         expected = np.exp(-1j * lv * times[-1]) * psi0
         assert np.max(np.abs(kets[-1] - expected)) < 1e-10
 
+    def test_split_step_at_fixed_increment(self):
+        p = ModelParams.from_dimensionless(omega_tau_g=200.0, beta_bar=1.0)
+        dim, dt = 8, 0.05
+        xi = 1.3 * math.sqrt(p.kappa_dimless * dt)   # a 1.3-sigma increment
+        rng = np.random.default_rng(4)
+        psi0 = rng.normal(size=dim) + 1j * rng.normal(size=dim)
+        psi0 /= np.linalg.norm(psi0)
+        noise = trajectories.NoisePath(dt=dt, increments=np.array([xi]),
+                                       kind="white", tau=0.0, seed=0, stream=0)
+        _, kets = trajectories.evolve_trajectory(psi0, p, noise)
+        half = np.exp(-0.5j * dt * generators.rwa_levels(dim, 1.0, p.ap_hw))
+        kick = expm(-1j * 4.0 * p.ap_hw * xi * fock.kinetic(dim) @ fock.kinetic(dim))
+        expected = half * (kick @ (half * psi0))
+        assert np.max(np.abs(kets[-1] - expected)) < 1e-12
+
+    def test_mean_step_is_strang_split_of_master_equation(self):
+        # Averaged over the white increment (60-node Gauss-Hermite rule), one
+        # step must be exp(L_H dt/2) exp(L_D dt) exp(L_H dt/2) exactly.
+        p = ModelParams.from_dimensionless(omega_tau_g=200.0, beta_bar=1.0)
+        dim, dt = 8, 0.05
+        nodes, weights = np.polynomial.hermite.hermgauss(60)
+        xis = math.sqrt(2.0 * p.kappa_dimless * dt) * nodes
+        rng = np.random.default_rng(8)
+        a = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+        rho = a @ a.conj().T
+        rho /= np.trace(rho)
+        mean = np.zeros((dim, dim), dtype=complex)
+        for xi, w in zip(xis, weights):
+            noise = trajectories.NoisePath(dt=dt, increments=np.array([xi]),
+                                           kind="white", tau=0.0, seed=0,
+                                           stream=0)
+            u = np.column_stack([
+                trajectories.evolve_trajectory(fock.fock_state(j, dim), p,
+                                               noise)[1][-1]
+                for j in range(dim)])
+            mean += (w / math.sqrt(math.pi)) * (u @ rho @ u.conj().T)
+
+        k2 = fock.kinetic(dim) @ fock.kinetic(dim)
+        k4, eye = k2 @ k2, np.eye(dim)
+        l_d = -(np.kron(k4, eye) - 2.0 * np.kron(k2, k2.T)
+                + np.kron(eye, k4.T)) / p.omega_tau_g
+        half = np.diag(np.exp(-0.5j * dt * generators.rwa_levels(dim, 1.0, p.ap_hw)))
+        inner = half @ rho @ half.conj().T
+        inner = (expm(l_d * dt) @ inner.ravel()).reshape(dim, dim)
+        expected = half @ inner @ half.conj().T
+        assert np.max(np.abs(mean - expected)) < 1e-10
+
     def test_damping_not_supported(self):
         p = ModelParams.from_dimensionless(gamma_dimless=0.01)
         noise = trajectories.sample_noise("white", 0.0, 0.0, 0.05, 10, seed=0)
@@ -93,6 +141,12 @@ class TestEnsemble:
                                           chunk_size=100)
         assert np.array_equal(a.mean_states, b.mean_states)
         assert np.array_equal(a.stderr, b.stderr)
+        # chunk_size 99 leaves a last chunk of a single trajectory
+        c = trajectories.ensemble_average(psi0, self.p, 100, seed=9, dt=0.05,
+                                          n_steps=40, sample_every=20,
+                                          chunk_size=99)
+        assert np.array_equal(c.mean_states, b.mean_states)
+        assert np.array_equal(c.stderr, b.stderr)
 
     def test_mean_tracks_master_equation(self):
         psi0 = fock.superposition01(10)
