@@ -18,7 +18,7 @@ from scipy.linalg import expm
 
 from . import generators
 from .exceptions import TruncationError, UnsupportedElementError, ValidityWarning
-from .generators import KernelSpec, ModelParams, PLANCK
+from .generators import KernelSpec, ModelParams, PLANCK, energy_level
 
 __all__ = [
     "energy_level",
@@ -39,13 +39,6 @@ __all__ = [
 
 #: perturbative formulas are trusted up to t/tau_decay = 0.2
 VALIDITY_LIMIT = 0.2
-
-
-def energy_level(n, beta_bar: float = 0.0, ap_hw: float = 0.0):
-    """Anharmonic level E_n = (n + 1/2) + (3/8) ap_hw beta_bar (n² + n + 1/2)."""
-    n = np.asarray(n, dtype=float)
-    e = (n + 0.5) + 0.375 * ap_hw * beta_bar * (n * n + n + 0.5)
-    return e if e.ndim else float(e)
 
 
 def _check_validity(t, tau_decay: float) -> None:

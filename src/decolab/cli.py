@@ -121,8 +121,17 @@ class RunConfig:
             raise ConfigError(f"unknown model {self.model!r}; choose from {MODELS}")
         if self.dim < 3:
             raise ConfigError("dim must be at least 3")
-        if self.dt <= 0 or self.t_end < 0:
-            raise ConfigError("dt must be positive and t_end non-negative")
+        if not (0 < self.dt < math.inf and 0 <= self.t_end < math.inf):
+            raise ConfigError("dt must be positive and t_end non-negative, both finite")
+        if not (self.omega_tau_g > 0 and self.omega_tau_d > 0):
+            raise ConfigError("omega_tau_g and omega_tau_d must be positive (inf disables)")
+        for name in ("gamma_dimless", "ap_hw", "omega_tau_kernel", "f_hz"):
+            if not 0 <= getattr(self, name) < math.inf:
+                raise ConfigError(f"{name} must be finite and non-negative")
+        if not math.isfinite(self.beta_bar):
+            raise ConfigError("beta_bar must be finite")
+        if not (0 < self.grid_halfwidth < math.inf and self.grid_points >= 3):
+            raise ConfigError("grid_halfwidth must be positive and finite, grid_points at least 3")
         if self.sample_every < 1 or self.chunk_size < 1:
             raise ConfigError("sample_every and chunk_size must be at least 1")
         if self.n_traj < 100:
@@ -157,10 +166,13 @@ class RunConfig:
         kernel = (KernelSpec(kind="delta", tau=0.0) if self.kernel == "delta"
                   else KernelSpec(kind="exponential",
                                   tau=self.omega_tau_kernel / self.omega))
-        return ModelParams.from_dimensionless(
-            omega_tau_g=self.omega_tau_g, omega_tau_d=self.omega_tau_d,
-            gamma_dimless=self.gamma_dimless, beta_bar=self.beta_bar,
-            ap_hw=self.ap_hw, omega=self.omega, kernel=kernel)
+        try:
+            return ModelParams.from_dimensionless(
+                omega_tau_g=self.omega_tau_g, omega_tau_d=self.omega_tau_d,
+                gamma_dimless=self.gamma_dimless, beta_bar=self.beta_bar,
+                ap_hw=self.ap_hw, omega=self.omega, kernel=kernel)
+        except (ValueError, ZeroDivisionError) as exc:
+            raise ConfigError(f"inconsistent model parameters: {exc}") from exc
 
     def resolved(self) -> dict:
         return dataclasses.asdict(self)
@@ -189,25 +201,23 @@ def _rhs_terms(cfg: RunConfig, params: ModelParams):
         terms.append(lambda rho, t: generators.gup_markov_rhs(rho, params))
     elif cfg.model == "breuer":
         terms.append(lambda rho, t: generators.breuer_rhs(rho, params))
-    else:  # damping-only: bare RWA Hamiltonian conjugation
-        h = generators.h_rwa(cfg.dim, params.beta_bar, params.ap_hw)
-        terms.append(lambda rho, t: -1j * (h @ rho - rho @ h))
+    else:  # damping-only: bare RWA Hamiltonian conjugation, -i [H_RWA, rho]
+        rates = generators._rwa_phase_rates(cfg.dim, params.beta_bar, params.ap_hw)
+        terms.append(lambda rho, t: rates * rho)
     if params.gamma != 0.0:
         terms.append(lambda rho, t: generators.damping_rhs(rho, params.gamma_dimless))
     return terms
 
 
-def _analytic_curves(cfg: RunConfig, times: np.ndarray) -> dict:
-    """Perturbative reference curve for the canonical (state, observable)
-    pairs; None when no closed form applies to this configuration."""
+def _closed_forms(cfg: RunConfig, times: np.ndarray):
+    """(p00, |rho01|, p11) of the model's perturbative closed forms, with the
+    validity-window warnings silenced."""
     gamma = cfg.gamma_dimless
-    curves = {}
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         if cfg.model in ("gup-markov", "gup-nonmarkov"):
-            tau = cfg.omega_tau_g
-            p00, p11 = analytic.gup_populations(times, gamma, tau)
-            coh = np.abs(analytic.gup_coherence01(times, gamma, tau))
+            p00, p11 = analytic.gup_populations(times, gamma, cfg.omega_tau_g)
+            coh = np.abs(analytic.gup_coherence01(times, gamma, cfg.omega_tau_g))
         elif cfg.model == "breuer":
             c, p00, p11 = analytic.breuer_observables(times, gamma, cfg.omega_tau_d)
             coh = np.abs(c)
@@ -215,6 +225,14 @@ def _analytic_curves(cfg: RunConfig, times: np.ndarray) -> dict:
             p00 = np.ones_like(times)
             p11 = np.exp(-gamma * times)
             coh = 0.5 * np.exp(-0.5 * gamma * times)
+    return p00, coh, p11
+
+
+def _analytic_curves(cfg: RunConfig, times: np.ndarray) -> dict:
+    """Perturbative reference curve for the canonical (state, observable)
+    pairs; None when no closed form applies to this configuration."""
+    p00, coh, p11 = _closed_forms(cfg, times)
+    curves = {}
     state = cfg.initial_state.strip()
     if state == "vacuum":
         curves["rho_00"] = p00
@@ -281,19 +299,7 @@ def cmd_ensemble(cfg: RunConfig) -> int:
 
 def cmd_analytic(cfg: RunConfig) -> int:
     times = np.arange(0.0, cfg.t_end + 0.5 * cfg.dt, cfg.dt * cfg.sample_every)
-    gamma = cfg.gamma_dimless
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        if cfg.model in ("gup-markov", "gup-nonmarkov"):
-            p00, p11 = analytic.gup_populations(times, gamma, cfg.omega_tau_g)
-            coh = np.abs(analytic.gup_coherence01(times, gamma, cfg.omega_tau_g))
-        elif cfg.model == "breuer":
-            c, p00, p11 = analytic.breuer_observables(times, gamma, cfg.omega_tau_d)
-            coh = np.abs(c)
-        else:
-            p00 = np.ones_like(times)
-            p11 = np.exp(-gamma * times)
-            coh = 0.5 * np.exp(-0.5 * gamma * times)
+    p00, coh, p11 = _closed_forms(cfg, times)
     if cfg.csv_out:
         with open(cfg.csv_out, "w") as fh:
             fh.write("t_omega,p00,abs_coh01,p11\n")

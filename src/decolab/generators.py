@@ -36,6 +36,7 @@ __all__ = [
     "breuer_rhs",
     "damping_rhs",
     "heisenberg_k2",
+    "energy_level",
 ]
 
 
@@ -181,16 +182,17 @@ def _ladder(dim: int) -> np.ndarray:
     return fock.ladder(dim)
 
 
-def rwa_levels(dim: int, beta_bar: float, ap_hw: float) -> np.ndarray:
-    """Energy ladder E_n = (n + 1/2) + (3/8) ap_hw beta_bar (n² + n + 1/2)."""
-    n = np.arange(dim, dtype=float)
-    return (n + 0.5) + 0.375 * ap_hw * beta_bar * (n * n + n + 0.5)
+def energy_level(n, beta_bar: float = 0.0, ap_hw: float = 0.0):
+    """Anharmonic level E_n = (n + 1/2) + (3/8) ap_hw beta_bar (n² + n + 1/2)."""
+    n = np.asarray(n, dtype=float)
+    e = (n + 0.5) + 0.375 * ap_hw * beta_bar * (n * n + n + 0.5)
+    return e if e.ndim else float(e)
 
 
 @lru_cache(maxsize=32)
 def _rwa_phase_rates(dim: int, beta_bar: float, ap_hw: float) -> np.ndarray:
     """Elementwise factor -i (E_a - E_b), so that -i [H_RWA, rho] = factor * rho."""
-    levels = rwa_levels(dim, beta_bar, ap_hw)
+    levels = energy_level(np.arange(dim), beta_bar, ap_hw)
     rates = -1j * (levels[:, None] - levels[None, :])
     rates.setflags(write=False)
     return rates
@@ -198,7 +200,7 @@ def _rwa_phase_rates(dim: int, beta_bar: float, ap_hw: float) -> np.ndarray:
 
 def h_rwa(dim: int, beta_bar: float, ap_hw: float) -> np.ndarray:
     """Anharmonic oscillator Hamiltonian after the rotating wave approximation."""
-    return np.diag(rwa_levels(dim, beta_bar, ap_hw)).astype(complex)
+    return np.diag(energy_level(np.arange(dim), beta_bar, ap_hw)).astype(complex)
 
 
 def h_full(dim: int, beta_bar: float, ap_hw: float) -> np.ndarray:
@@ -273,42 +275,29 @@ def heisenberg_k2(h_prime: np.ndarray, s: float) -> np.ndarray:
     return vecs @ (m * phase) @ vecs.conj().T
 
 
-@lru_cache(maxsize=8)
-def _gauss_legendre(n: int):
-    return np.polynomial.legendre.leggauss(n)
+#: the memory integral keeps the last 8 kernel correlation times; the e^-8
+#: tail beyond them is dropped
+MEMORY_WINDOW_TAUS = 8.0
 
 
-def memory_operator(t: float, params: ModelParams, dim: int, *,
-                    n_nodes: int = 64, window_taus: float = 8.0) -> np.ndarray:
-    """Quadrature of the memory integral M(t) = ∫ f(t-t') K²ᴵ(t'-t) dt'.
+def memory_operator(t: float, params: ModelParams, dim: int) -> np.ndarray:
+    """Memory integral M(t) = ∫ f(t-t') K²ᴵ(t'-t) dt' in closed form.
 
-    Gauss-Legendre over the last ``window_taus`` correlation times (the kernel
-    is effectively zero beyond that).  Times are dimensionless.
+    For the exponential kernel and diagonal H_RWA, with Δ_ab = E_a - E_b and
+    z = 1 + iΔτ, M_ab = K²_ab (1 - e^{-z s/τ}) / (2z) over the last
+    s = min(t, MEMORY_WINDOW_TAUS τ) of the kernel.  Times are dimensionless.
     """
     if params.kernel.kind != "exponential":
         raise KernelRoutingError(
             "memory integral needs an exponential kernel; delta kernels route to gup_markov_rhs"
         )
     tau = params.kernel.tau * params.omega
-    lo = max(0.0, t - window_taus * tau)
-    if t <= lo:
-        return np.zeros((dim, dim), dtype=complex)
-    nodes, weights = _gauss_legendre(n_nodes)
-    tp = 0.5 * (t - lo) * nodes + 0.5 * (t + lo)
-    w = 0.5 * (t - lo) * weights
-    f = params.kernel.f_dimless(t - tp, params.omega)
-
-    levels = rwa_levels(dim, params.beta_bar, params.ap_hw)
-    d_e = levels[:, None] - levels[None, :]
-    k2 = _k2_op(dim)
-    # K²ᴵ(s) for diagonal H_RWA is an elementwise phase twist of K².
-    s = tp - t
-    phases = np.exp(1j * np.multiply.outer(s, d_e))
-    return np.einsum("q,qab->ab", w * f, phases * k2)
+    s = min(t, MEMORY_WINDOW_TAUS * tau)
+    z = 1.0 - tau * _rwa_phase_rates(dim, params.beta_bar, params.ap_hw)
+    return _k2_op(dim) * (-np.expm1(-z * (s / tau)) / (2.0 * z))
 
 
-def gup_nonmarkov_rhs(rho: np.ndarray, t: float, params: ModelParams, *,
-                      n_nodes: int = 64) -> np.ndarray:
+def gup_nonmarkov_rhs(rho: np.ndarray, t: float, params: ModelParams) -> np.ndarray:
     """Memory-kernel deformed-commutator right-hand side (time-convolutionless).
 
     d rho / d(omega t) = -i [H_RWA, rho]
@@ -317,11 +306,10 @@ def gup_nonmarkov_rhs(rho: np.ndarray, t: float, params: ModelParams, *,
     under the integral is rho(t) itself, so no history of rho enters.
     """
     dim = rho.shape[0]
-    h = h_rwa(dim, params.beta_bar, params.ap_hw)
-    out = -1j * _commutator(h, rho)
+    out = _rwa_phase_rates(dim, params.beta_bar, params.ap_hw) * rho
     c = 2.0 * params.gup_rate_dimless
     if c:
-        m = memory_operator(t, params, dim, n_nodes=n_nodes)
+        m = memory_operator(t, params, dim)
         k2 = _k2_op(dim)
         out -= c * _commutator(k2, _commutator(m, rho))
     return out

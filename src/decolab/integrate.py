@@ -117,6 +117,8 @@ def evolve(rho0: np.ndarray, rhs_terms: Sequence[RhsTerm] | RhsTerm,
     """
     if not dt > 0:
         raise ValueError("dt must be positive")
+    if sample_every < 1:
+        raise ValueError("sample_every must be at least 1")
     if callable(rhs_terms):
         rhs = rhs_terms
     else:
@@ -166,8 +168,7 @@ def evolve(rho0: np.ndarray, rhs_terms: Sequence[RhsTerm] | RhsTerm,
 
 
 def evolve_nonmarkov(rho0: np.ndarray, params: ModelParams, t_end: float,
-                     dt: float, *, sample_every: int = 100,
-                     n_nodes: int = 64) -> EvolutionResult:
+                     dt: float, *, sample_every: int = 100) -> EvolutionResult:
     """Evolve under the exponential-memory-kernel master equation.
 
     The memory term is re-evaluated at every RK4 stage time.  Requires an
@@ -182,7 +183,7 @@ def evolve_nonmarkov(rho0: np.ndarray, params: ModelParams, t_end: float,
         raise StepSizeError(
             f"dt={dt:.3g} exceeds tau/10={tau_dimless / 10:.3g}; reduce the step")
 
-    terms = [lambda rho, t: generators.gup_nonmarkov_rhs(rho, t, params, n_nodes=n_nodes)]
+    terms = [lambda rho, t: generators.gup_nonmarkov_rhs(rho, t, params)]
     if params.gamma:
         terms.append(lambda rho, t: generators.damping_rhs(rho, params.gamma_dimless))
     return evolve(rho0, terms, t_end, dt, sample_every=sample_every, omega=params.omega)

@@ -99,6 +99,8 @@ def evolve_trajectory(psi0: np.ndarray, params: ModelParams, noise: NoisePath,
     psi0 = np.asarray(psi0, dtype=complex)
     if abs(np.linalg.norm(psi0) - 1.0) > 1e-10:
         raise ValueError("psi0 must be normalized")
+    if sample_every < 1:
+        raise ValueError("sample_every must be at least 1")
     times, kets = _run_batch(psi0[None, :], params, noise.increments[None, :],
                              noise.dt, sample_every)
     return times, kets[:, 0, :]
@@ -107,7 +109,7 @@ def evolve_trajectory(psi0: np.ndarray, params: ModelParams, noise: NoisePath,
 def _run_batch(psis: np.ndarray, params: ModelParams, increments: np.ndarray,
                dt: float, sample_every: int):
     dim = psis.shape[1]
-    levels = generators.rwa_levels(dim, params.beta_bar, params.ap_hw)
+    levels = generators.energy_level(np.arange(dim), params.beta_bar, params.ap_hw)
     half = np.exp(-0.5j * dt * levels)
     lam, v = np.linalg.eigh(generators._k2_op(dim))
     # Kets are (1, dim) rows of a stack, so every product is its own call: one
@@ -165,6 +167,8 @@ def ensemble_average(psi0: np.ndarray, params: ModelParams, n_traj: int,
     """
     if n_traj < 100:
         raise ValueError("ensemble needs at least 100 trajectories")
+    if sample_every < 1:
+        raise ValueError("sample_every must be at least 1")
     if params.gamma != 0.0:
         raise UnsupportedCombinationError("ensemble mode requires gamma = 0")
     psi0 = np.asarray(psi0, dtype=complex)

@@ -1,11 +1,13 @@
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
 
-from decolab import estimate
-from decolab.cli import RunConfig, main
+from decolab import analytic, estimate
+from decolab.cli import MODELS, RunConfig, main
+from decolab.exceptions import ConfigError
 
 
 def write_config(tmp_path, name="run.cfg", **kv):
@@ -39,6 +41,22 @@ class TestConfigFile:
                            dim=6, t_end=0.5, dt=0.05, **bad)
         assert main(["ensemble", "--config", cfg]) == 2
         assert next(iter(bad)) in capsys.readouterr().err
+
+    @pytest.mark.parametrize("bad", [{"t_end": "nan"}, {"dt": "nan"},
+                                     {"omega_tau_g": -5.0}, {"omega_tau_d": 0.0},
+                                     {"gamma_dimless": "inf"}, {"beta_bar": "nan"},
+                                     {"grid_halfwidth": "nan"}, {"grid_points": 2}])
+    def test_non_finite_or_out_of_range_values_are_exit_2(self, tmp_path, capsys,
+                                                           bad):
+        kv = {"model": "gup-markov", "dim": 6, "t_end": 0.5, "dt": 0.05, **bad}
+        assert main(["simulate", "--config", write_config(tmp_path, **kv)]) == 2
+        assert next(iter(bad)) in capsys.readouterr().err
+
+    def test_model_parameter_errors_are_config_errors(self):
+        with pytest.raises(ConfigError):
+            RunConfig(omega_tau_g=-5.0).model_params()
+        with pytest.raises(ConfigError):   # no deformation coupling to carry the noise
+            RunConfig(omega_tau_g=100.0, ap_hw=0.0).model_params()
 
     def test_comments_and_blanks_ignored(self, tmp_path):
         path = tmp_path / "c.cfg"
@@ -192,3 +210,29 @@ class TestAnalyticCommand:
         t, p00, coh, p11 = map(float, rows[-1].split(","))
         assert p00 == pytest.approx(1 - 0.125 * t / 1000.0)
         assert coh == pytest.approx(0.5 * (1 - 0.375 * t / 1000.0))
+
+    @pytest.mark.parametrize("model", MODELS)
+    def test_csv_bytes_per_model(self, tmp_path, model):
+        csv = tmp_path / "a.csv"
+        cfg = write_config(tmp_path, model=model, omega_tau_g=2000.0,
+                           omega_tau_d=1000.0, gamma_dimless=1e-3,
+                           kernel="exponential", omega_tau_kernel=0.5,
+                           t_end=400.0, dt=0.05, sample_every=400,
+                           csv_out=str(csv))
+        assert main(["analytic", "--config", cfg]) == 0
+        t = np.arange(0.0, 400.0 + 0.025, 20.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            if model in ("gup-markov", "gup-nonmarkov"):
+                p00, p11 = analytic.gup_populations(t, 1e-3, 2000.0)
+                coh = np.abs(analytic.gup_coherence01(t, 1e-3, 2000.0))
+            elif model == "breuer":
+                c, p00, p11 = analytic.breuer_observables(t, 1e-3, 1000.0)
+                coh = np.abs(c)
+            else:
+                p00, p11 = np.ones_like(t), np.exp(-1e-3 * t)
+                coh = 0.5 * np.exp(-0.5e-3 * t)
+        rows = ["t_omega,p00,abs_coh01,p11"] + [
+            f"{t[i]:.12g},{p00[i]:.12g},{coh[i]:.12g},{p11[i]:.12g}"
+            for i in range(len(t))]
+        assert csv.read_text() == "\n".join(rows) + "\n"

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.integrate import quad
 
 from decolab import fock, generators
 from decolab.generators import PLANCK, KernelSpec, ModelParams
@@ -52,7 +53,7 @@ class TestConstantsAndParams:
 
 class TestHamiltonians:
     def test_rwa_levels_formula(self):
-        lv = generators.rwa_levels(6, beta_bar=0.7, ap_hw=1e-3)
+        lv = generators.energy_level(np.arange(6), beta_bar=0.7, ap_hw=1e-3)
         n = np.arange(6)
         expected = n + 0.5 + (3 / 8) * 1e-3 * 0.7 * (n**2 + n + 0.5)
         assert np.allclose(lv, expected)
@@ -67,7 +68,7 @@ class TestHamiltonians:
 
     def test_full_hamiltonian_diagonal(self):
         # diagonal of the deformed term is 4 ap bb <n|K^2|n>; the RWA levels
-        # carry the conventional (3/8) coefficient instead (see rwa_levels)
+        # carry the conventional (3/8) coefficient instead (see energy_level)
         dim, bb, ap = 8, 1.0, 1e-4
         h = generators.h_full(dim, bb, ap)
         n = np.arange(dim)
@@ -112,6 +113,13 @@ class TestRhs:
             ref = (-1j * comm(h, rho)
                    - p.gup_rate_dimless * comm(k2, comm(k2, rho)))
             out = generators.gup_markov_rhs(rho, p)
+            assert np.max(np.abs(out - ref)) <= 1e-15 * max(1.0, np.max(np.abs(ref)))
+            # the memory-kernel form: -i[H_RWA, rho] - 2/(omega tau_G) [K², [M, rho]]
+            p_nm = p.with_kernel(KernelSpec(kind="exponential", tau=0.3))
+            m = generators.memory_operator(2.0, p_nm, dim)
+            ref = (-1j * comm(h, rho)
+                   - 2.0 * p.gup_rate_dimless * comm(k2, comm(m, rho)))
+            out = generators.gup_nonmarkov_rhs(rho, 2.0, p_nm)
             assert np.max(np.abs(out - ref)) <= 1e-15 * max(1.0, np.max(np.abs(ref)))
 
     @given(seed=st.integers(0, 100))
@@ -168,8 +176,31 @@ class TestMemoryKernel:
             kernel=KernelSpec(kind="exponential", tau=0.05))
         m = generators.memory_operator(5.0, p, dim=8)
         k2 = np.asarray(generators._k2_op(8))
-        # the quadrature window spans 8 tau, leaving an e^-8 tail
+        # the memory window spans 8 tau, leaving an e^-8 tail
         assert np.allclose(np.diag(m), 0.5 * np.diag(k2), rtol=1e-3)
+
+    @pytest.mark.parametrize("dim", [8, 24])
+    def test_closed_form_matches_defining_integral(self, dim):
+        # M(t) = ∫ f(t-t') K²ᴵ(t'-t) dt' over the window [max(0, t-8τ), t]
+        tau = 0.7
+        p = ModelParams.from_dimensionless(
+            omega_tau_g=1e3, beta_bar=0.9, ap_hw=0.05,
+            kernel=KernelSpec(kind="exponential", tau=tau))
+        h = generators.h_rwa(dim, p.beta_bar, p.ap_hw)
+        rows, cols = np.nonzero(generators._k2_op(dim))
+        for t in (0.3, 2.0, 12.0):   # 8τ = 5.6
+            lo = max(0.0, t - 8 * tau)
+
+            def integrand(tp, a, b, part):
+                f = p.kernel.f_dimless(t - tp, p.omega)
+                return part(f * generators.heisenberg_k2(h, tp - t)[a, b])
+
+            m = generators.memory_operator(t, p, dim)
+            for a, b in zip(rows, cols):
+                want = (quad(integrand, lo, t, args=(a, b, np.real), epsabs=1e-14)[0]
+                        + 1j * quad(integrand, lo, t, args=(a, b, np.imag),
+                                    epsabs=1e-14)[0])
+                assert abs(m[a, b] - want) < 1e-12
 
     def test_nonmarkov_rhs_approaches_markov_for_short_memory(self):
         p = ModelParams.from_dimensionless(

@@ -86,6 +86,11 @@ class TestEvolve:
         with pytest.raises(ValueError):
             integrate.evolve(rho0, [lambda r, t: r], 1.0, 0.0)
 
+    def test_sample_every_below_one_rejected(self):
+        rho0 = fock.density(fock.fock_state(0, 4))
+        with pytest.raises(ValueError, match="sample_every"):
+            integrate.evolve(rho0, [lambda r, t: 0 * r], 1.0, 0.1, sample_every=0)
+
 
 class TestNonMarkov:
     def test_requires_exponential_kernel(self):
@@ -117,7 +122,7 @@ class TestNonMarkov:
             kernel=KernelSpec(kind="exponential", tau=tau))
         rho0 = fock.density(fock.fock_state(0, 8))
         res_nm = integrate.evolve_nonmarkov(rho0, p, 1.0, tau / 10,
-                                            sample_every=5000, n_nodes=32)
+                                            sample_every=5000)
         res_m = integrate.evolve(
             rho0, [lambda r, t: generators.gup_markov_rhs(r, p)],
             1.0, 0.005, sample_every=100)

@@ -59,7 +59,7 @@ class TestSingleTrajectory:
         psi0 = fock.superposition01(8)
         times, kets = trajectories.evolve_trajectory(psi0, p, noise,
                                                      sample_every=200)
-        lv = generators.rwa_levels(8, 1.0, p.ap_hw)
+        lv = generators.energy_level(np.arange(8), 1.0, p.ap_hw)
         expected = np.exp(-1j * lv * times[-1]) * psi0
         assert np.max(np.abs(kets[-1] - expected)) < 1e-10
 
@@ -73,7 +73,7 @@ class TestSingleTrajectory:
         noise = trajectories.NoisePath(dt=dt, increments=np.array([xi]),
                                        kind="white", tau=0.0, seed=0, stream=0)
         _, kets = trajectories.evolve_trajectory(psi0, p, noise)
-        half = np.exp(-0.5j * dt * generators.rwa_levels(dim, 1.0, p.ap_hw))
+        half = np.exp(-0.5j * dt * generators.energy_level(np.arange(dim), 1.0, p.ap_hw))
         kick = expm(-1j * 4.0 * p.ap_hw * xi * fock.kinetic(dim) @ fock.kinetic(dim))
         expected = half * (kick @ (half * psi0))
         assert np.max(np.abs(kets[-1] - expected)) < 1e-12
@@ -104,7 +104,7 @@ class TestSingleTrajectory:
         k4, eye = k2 @ k2, np.eye(dim)
         l_d = -(np.kron(k4, eye) - 2.0 * np.kron(k2, k2.T)
                 + np.kron(eye, k4.T)) / p.omega_tau_g
-        half = np.diag(np.exp(-0.5j * dt * generators.rwa_levels(dim, 1.0, p.ap_hw)))
+        half = np.diag(np.exp(-0.5j * dt * generators.energy_level(np.arange(dim), 1.0, p.ap_hw)))
         inner = half @ rho @ half.conj().T
         inner = (expm(l_d * dt) @ inner.ravel()).reshape(dim, dim)
         expected = half @ inner @ half.conj().T
@@ -116,6 +116,14 @@ class TestSingleTrajectory:
         with pytest.raises(UnsupportedCombinationError):
             trajectories.evolve_trajectory(fock.fock_state(0, 4), p, noise)
 
+    def test_sample_every_below_one_rejected(self):
+        p = ModelParams.from_dimensionless(omega_tau_g=200.0)
+        noise = trajectories.sample_noise("white", p.kappa_dimless, 0.0, 0.05, 10,
+                                          seed=0)
+        with pytest.raises(ValueError, match="sample_every"):
+            trajectories.evolve_trajectory(fock.fock_state(0, 4), p, noise,
+                                           sample_every=0)
+
 
 class TestEnsemble:
     p = ModelParams.from_dimensionless(omega_tau_g=200.0, beta_bar=1.0)
@@ -124,6 +132,12 @@ class TestEnsemble:
         with pytest.raises(ValueError):
             trajectories.ensemble_average(fock.fock_state(0, 6), self.p, 50,
                                           seed=1, dt=0.05, n_steps=10)
+
+    def test_sample_every_below_one_rejected(self):
+        with pytest.raises(ValueError, match="sample_every"):
+            trajectories.ensemble_average(fock.fock_state(0, 6), self.p, 100,
+                                          seed=1, dt=0.05, n_steps=10,
+                                          sample_every=0)
 
     def test_gamma_not_supported(self):
         p = ModelParams.from_dimensionless(omega_tau_g=200.0, gamma_dimless=0.01)
