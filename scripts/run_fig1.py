@@ -32,7 +32,7 @@ def main() -> int:
     out.mkdir(parents=True, exist_ok=True)
     params = generators.ModelParams.from_dimensionless(
         omega_tau_g=args.omega_tau_g, beta_bar=1.0)
-    rhs = [lambda rho, t: generators.gup_markov_rhs(rho, params)]
+    rhs = lambda rho, t: generators.gup_markov_rhs(rho, params)
     tau = args.omega_tau_g
 
     cases = [

@@ -136,13 +136,28 @@ class RunConfig:
             raise ConfigError("sample_every and chunk_size must be at least 1")
         if self.n_traj < 100:
             raise ConfigError("n_traj must be at least 100")
+        if self.seed < 0:
+            raise ConfigError("seed must be non-negative")
+        if self.noise_kind not in ("white", "ornstein-uhlenbeck"):
+            raise ConfigError(f"unknown noise_kind {self.noise_kind!r}")
         if self.kernel not in ("delta", "exponential"):
             raise ConfigError(f"unknown kernel {self.kernel!r}")
         if self.kernel == "exponential" and self.omega_tau_kernel <= 0:
             raise ConfigError("exponential kernel needs omega_tau_kernel > 0")
         if self.model == "gup-nonmarkov" and self.kernel != "exponential":
             raise ConfigError("gup-nonmarkov requires kernel=exponential")
+        for name in self.observable_names():
+            try:
+                _, i, j = integrate._parse_observable(name)
+            except ValueError as exc:
+                raise ConfigError(f"observables: {exc}") from exc
+            if max(i, j) >= self.dim:
+                raise ConfigError(f"observables: {name!r} is outside dim={self.dim}")
         self.parse_state(self.dim)  # validates the state string
+        self.model_params()  # validates the model scales together
+
+    def observable_names(self) -> list[str]:
+        return [s.strip() for s in self.observables.split(",") if s.strip()]
 
     def parse_state(self, dim: int) -> np.ndarray:
         s = self.initial_state.strip()
@@ -163,15 +178,15 @@ class RunConfig:
         return 2.0 * math.pi * self.f_hz if self.f_hz > 0 else 1.0
 
     def model_params(self) -> ModelParams:
-        kernel = (KernelSpec(kind="delta", tau=0.0) if self.kernel == "delta"
-                  else KernelSpec(kind="exponential",
-                                  tau=self.omega_tau_kernel / self.omega))
         try:
+            kernel = (KernelSpec(kind="delta", tau=0.0) if self.kernel == "delta"
+                      else KernelSpec(kind="exponential",
+                                      tau=self.omega_tau_kernel / self.omega))
             return ModelParams.from_dimensionless(
                 omega_tau_g=self.omega_tau_g, omega_tau_d=self.omega_tau_d,
                 gamma_dimless=self.gamma_dimless, beta_bar=self.beta_bar,
                 ap_hw=self.ap_hw, omega=self.omega, kernel=kernel)
-        except (ValueError, ZeroDivisionError) as exc:
+        except ValueError as exc:
             raise ConfigError(f"inconsistent model parameters: {exc}") from exc
 
     def resolved(self) -> dict:
@@ -193,20 +208,6 @@ def _write_json(path, payload) -> None:
             fh.write(text + "\n")
     else:
         print(text)
-
-
-def _rhs_terms(cfg: RunConfig, params: ModelParams):
-    terms = []
-    if cfg.model == "gup-markov":
-        terms.append(lambda rho, t: generators.gup_markov_rhs(rho, params))
-    elif cfg.model == "breuer":
-        terms.append(lambda rho, t: generators.breuer_rhs(rho, params))
-    else:  # damping-only: bare RWA Hamiltonian conjugation, -i [H_RWA, rho]
-        rates = generators._rwa_phase_rates(cfg.dim, params.beta_bar, params.ap_hw)
-        terms.append(lambda rho, t: rates * rho)
-    if params.gamma != 0.0:
-        terms.append(lambda rho, t: generators.damping_rhs(rho, params.gamma_dimless))
-    return terms
 
 
 def _closed_forms(cfg: RunConfig, times: np.ndarray):
@@ -243,18 +244,23 @@ def _analytic_curves(cfg: RunConfig, times: np.ndarray) -> dict:
     return curves
 
 
-def cmd_simulate(cfg: RunConfig) -> int:
+def _evolve(cfg: RunConfig, rho0: np.ndarray) -> integrate.EvolutionResult:
+    """Evolve rho0 to t_end under the model's generator: the one place a model
+    picks it, from ``generators`` at call time rather than at import."""
     params = cfg.model_params()
-    psi0 = cfg.parse_state(cfg.dim)
-    rho0 = fock.density(psi0)
     if cfg.model == "gup-nonmarkov":
-        result = integrate.evolve_nonmarkov(rho0, params, cfg.t_end, cfg.dt,
-                                            sample_every=cfg.sample_every)
-    else:
-        result = integrate.evolve(rho0, _rhs_terms(cfg, params), cfg.t_end,
-                                  cfg.dt, sample_every=cfg.sample_every,
-                                  omega=cfg.omega)
-    observables = [s.strip() for s in cfg.observables.split(",") if s.strip()]
+        return integrate.evolve_nonmarkov(rho0, params, cfg.t_end, cfg.dt,
+                                          sample_every=cfg.sample_every)
+    if cfg.model == "damping-only":
+        params = dataclasses.replace(params, kappa=0.0)
+    rhs = generators.breuer_rhs if cfg.model == "breuer" else generators.gup_markov_rhs
+    return integrate.evolve(rho0, lambda rho, t: rhs(rho, params), cfg.t_end,
+                            cfg.dt, sample_every=cfg.sample_every, omega=cfg.omega)
+
+
+def cmd_simulate(cfg: RunConfig) -> int:
+    result = _evolve(cfg, fock.density(cfg.parse_state(cfg.dim)))
+    observables = cfg.observable_names()
     if cfg.csv_out:
         result.to_csv(cfg.csv_out, observables)
     deviations = {}
@@ -285,9 +291,8 @@ def cmd_ensemble(cfg: RunConfig) -> int:
         psi0, params, cfg.n_traj, cfg.seed, dt=cfg.dt, n_steps=n_steps,
         sample_every=cfg.sample_every, noise_kind=cfg.noise_kind,
         chunk_size=cfg.chunk_size)
-    observables = [s.strip() for s in cfg.observables.split(",") if s.strip()]
     if cfg.csv_out:
-        result.to_csv(cfg.csv_out, observables)
+        result.to_csv(cfg.csv_out, cfg.observable_names())
     _write_json(cfg.json_out, {
         "command": "ensemble",
         "config": cfg.resolved(),
@@ -310,14 +315,9 @@ def cmd_analytic(cfg: RunConfig) -> int:
 
 
 def cmd_wigner(cfg: RunConfig) -> int:
-    params = cfg.model_params()
-    psi0 = cfg.parse_state(cfg.dim)
-    rho = fock.density(psi0)
+    rho = fock.density(cfg.parse_state(cfg.dim))
     if cfg.t_end > 0:
-        result = integrate.evolve(rho, _rhs_terms(cfg, params), cfg.t_end,
-                                  cfg.dt, sample_every=cfg.sample_every,
-                                  omega=cfg.omega)
-        rho = result.states[-1]
+        rho = _evolve(cfg, rho).states[-1]
     axis = np.linspace(-cfg.grid_halfwidth, cfg.grid_halfwidth, cfg.grid_points)
     grid = fock.wigner(rho, axis, axis)
     if cfg.csv_out:

@@ -362,16 +362,16 @@ def ellipticity_from_wigner(grid) -> tuple:
     dx = x[1] - x[0]
     dp = p[1] - p[0]
     mass = float(np.sum(w)) * dx * dp
-    if mass <= 0:
-        raise FitFailureError("grid has no positive mass to fit")
+    if not 0 < mass < math.inf:
+        raise FitFailureError("grid has no finite positive mass to fit")
     mx = float(np.sum(w * xx)) * dx * dp / mass
     mp_ = float(np.sum(w * pp)) * dx * dp / mass
     vxx = float(np.sum(w * (xx - mx) ** 2)) * dx * dp / mass
     vpp = float(np.sum(w * (pp - mp_) ** 2)) * dx * dp / mass
     vxp = float(np.sum(w * (xx - mx) * (pp - mp_))) * dx * dp / mass
-    det = vxx * vpp - vxp ** 2
-    if det <= 0 or vxx <= 0 or vpp <= 0:
-        raise FitFailureError("moment covariance is not positive definite")
+    det = vxx * vpp - vxp ** 2  # non-finite whenever a moment is
+    if not (0 < det < math.inf and vxx > 0 and vpp > 0):
+        raise FitFailureError("moment covariance is not finite and positive definite")
 
     def unpack(q):
         h, x0, p0, a, b, c = q

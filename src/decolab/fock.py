@@ -128,6 +128,10 @@ def trace_distance(rho: np.ndarray, sigma: np.ndarray) -> float:
     return 0.5 * float(np.sum(np.abs(np.linalg.eigvalsh(rho - sigma))))
 
 
+#: ``wigner`` warns when its grid captures less than this share of the state
+WIGNER_MASS_FLOOR = 0.98
+
+
 @dataclass(frozen=True)
 class WignerGrid:
     """Sampled Wigner function on a rectangular phase-space grid.
@@ -151,14 +155,13 @@ class WignerGrid:
                     fh.write(f"{xi:.12g},{pj:.12g},{self.values[i, j]:.12g}\n")
 
 
-def wigner(rho: np.ndarray, x: np.ndarray, p: np.ndarray, *,
-           mass_floor: float = 0.98) -> WignerGrid:
+def wigner(rho: np.ndarray, x: np.ndarray, p: np.ndarray) -> WignerGrid:
     """Wigner function of rho via the displaced-parity Laguerre series.
 
     Exact (to floating point) for a truncated density matrix; no FFT grid
     artifacts.  Normalization: integral of W over dx dp is 1 and the vacuum
     gives W(0,0) = 1/pi.  Warns with a TruncationWarning when the grid
-    captures less than ``mass_floor`` of the state.
+    captures less than ``WIGNER_MASS_FLOOR`` of the state.
     """
     rho = np.asarray(rho, dtype=complex)
     dim = rho.shape[0]
@@ -192,7 +195,7 @@ def wigner(rho: np.ndarray, x: np.ndarray, p: np.ndarray, *,
     dx = x[1] - x[0] if len(x) > 1 else 1.0
     dp = p[1] - p[0] if len(p) > 1 else 1.0
     mass = float(np.sum(values) * dx * dp)
-    if mass < mass_floor:
+    if mass < WIGNER_MASS_FLOOR:
         warnings.warn(
             TruncationWarning(
                 f"Wigner grid captures only {mass:.4f} of the state", captured_mass=mass

@@ -7,7 +7,8 @@ folded into dimensionless coefficients here:
 * deformed-commutator (double K² commutator) dissipator, Markovian and
   exponential-memory-kernel forms,
 * metric-fluctuation (double K commutator) dissipator,
-* amplitude damping at rate gamma,
+* amplitude damping at rate gamma, which each model generator adds last,
+  so that it is the model's whole right-hand side,
 * anharmonic RWA Hamiltonian and its non-RWA variant.
 
 Every dissipator returns a traceless Hermitian derivative for Hermitian input.
@@ -109,8 +110,8 @@ class ModelParams:
     kernel: KernelSpec = field(default_factory=KernelSpec)
 
     def __post_init__(self):
-        if not self.omega > 0:
-            raise ValueError("omega must be positive")
+        if not 0 < self.omega < math.inf:
+            raise ValueError("omega must be positive and finite")
         for name in ("gamma", "kappa", "tau_c", "ap_hw"):
             if getattr(self, name) < 0:
                 raise ValueError(f"{name} must be non-negative")
@@ -129,6 +130,8 @@ class ModelParams:
     @property
     def gup_rate_dimless(self) -> float:
         """Markovian double-K² coefficient 8 (a_P hw)² kappa omega = 1/(omega tau_G)."""
+        if not self.kappa:  # no noise; ap_hw² may overflow and must not be formed
+            return 0.0
         return 8.0 * self.ap_hw ** 2 * self.kappa * self.omega
 
     @property
@@ -152,7 +155,16 @@ class ModelParams:
                            ap_hw: float = 1.5e-33, omega: float = 1.0,
                            kernel: KernelSpec | None = None) -> "ModelParams":
         """Desk-scale constructor from the dimensionless decay times."""
-        kappa = 0.0 if math.isinf(omega_tau_g) else 1.0 / (8.0 * ap_hw ** 2 * omega * omega_tau_g)
+        kappa = 0.0
+        if not math.isinf(omega_tau_g):
+            try:
+                kappa = 1.0 / (8.0 * ap_hw ** 2 * omega * omega_tau_g)
+            except (ZeroDivisionError, OverflowError):
+                kappa = math.nan
+            if not 0 < kappa < math.inf:
+                raise ValueError(f"a finite omega_tau_g needs a deformation coupling "
+                                 f"ap_hw > 0; ap_hw={ap_hw!r} with omega_tau_g="
+                                 f"{omega_tau_g!r} gives no finite noise strength")
         tau_c = 0.0 if math.isinf(omega_tau_d) else 1.0 / (omega * omega_tau_d)
         return cls(omega=omega, gamma=gamma_dimless * omega, beta_bar=beta_bar,
                    kappa=kappa, tau_c=tau_c, ap_hw=ap_hw,
@@ -222,31 +234,35 @@ def damping_rhs(rho: np.ndarray, gamma_dimless: float) -> np.ndarray:
     return gamma_dimless * (a @ rho @ a.conj().T - anti)
 
 
-def gup_markov_rhs(rho: np.ndarray, params: ModelParams, *,
-                   use_rwa_hamiltonian: bool = True) -> np.ndarray:
+def _with_damping(out: np.ndarray, rho: np.ndarray, params: ModelParams) -> np.ndarray:
+    """Add amplitude damping last, so each generator rounds as its terms' sum."""
+    if params.gamma:
+        out = out + damping_rhs(rho, params.gamma_dimless)
+    return out
+
+
+def gup_markov_rhs(rho: np.ndarray, params: ModelParams) -> np.ndarray:
     """Markovian deformed-commutator master equation right-hand side.
 
-    d rho / d(omega t) = -i [H', rho] - (1/(omega tau_G)) [K², [K², rho]],
-    H' defaulting to the RWA Hamiltonian (the non-RWA variant is available
-    behind the switch for overlay comparisons).  H_RWA is diagonal, so its
-    commutator is the elementwise product -i (E_a - E_b) rho_ab.
+    d rho / d(omega t) = -i [H_RWA, rho] - (1/(omega tau_G)) [K², [K², rho]]
+                         + damping at params.gamma.
+    H_RWA is diagonal, so its commutator is the elementwise product
+    -i (E_a - E_b) rho_ab.  With kappa = 0 this is the damping-only model.
     """
     dim = rho.shape[0]
-    if use_rwa_hamiltonian:
-        out = _rwa_phase_rates(dim, params.beta_bar, params.ap_hw) * rho
-    else:
-        out = -1j * _commutator(h_full(dim, params.beta_bar, params.ap_hw), rho)
-    k2 = _k2_op(dim)
+    out = _rwa_phase_rates(dim, params.beta_bar, params.ap_hw) * rho
     c = params.gup_rate_dimless
     if c:
+        k2 = _k2_op(dim)
         out -= c * _commutator(k2, _commutator(k2, rho))
-    return out
+    return _with_damping(out, rho, params)
 
 
 def breuer_rhs(rho: np.ndarray, params: ModelParams) -> np.ndarray:
     """Metric-fluctuation master equation right-hand side.
 
-    d rho / d(omega t) = -i [N, rho] - (tau_c omega / 2) [K, [K, rho]].
+    d rho / d(omega t) = -i [N, rho] - (tau_c omega / 2) [K, [K, rho]]
+                         + damping at params.gamma.
     """
     dim = rho.shape[0]
     n = np.arange(dim, dtype=float)
@@ -255,7 +271,7 @@ def breuer_rhs(rho: np.ndarray, params: ModelParams) -> np.ndarray:
     if c:
         k = _k_op(dim)
         out = out - c * _commutator(k, _commutator(k, rho))
-    return out
+    return _with_damping(out, rho, params)
 
 
 def heisenberg_k2(h_prime: np.ndarray, s: float) -> np.ndarray:
@@ -301,7 +317,8 @@ def gup_nonmarkov_rhs(rho: np.ndarray, t: float, params: ModelParams) -> np.ndar
     """Memory-kernel deformed-commutator right-hand side (time-convolutionless).
 
     d rho / d(omega t) = -i [H_RWA, rho]
-                         - 2/(omega tau_G) [K², [M(t), rho]],
+                         - 2/(omega tau_G) [K², [M(t), rho]]
+                         + damping at params.gamma,
     with M(t) the kernel-weighted interaction-picture K² integral.  The state
     under the integral is rho(t) itself, so no history of rho enters.
     """
@@ -312,4 +329,4 @@ def gup_nonmarkov_rhs(rho: np.ndarray, t: float, params: ModelParams) -> np.ndar
         m = memory_operator(t, params, dim)
         k2 = _k2_op(dim)
         out -= c * _commutator(k2, _commutator(m, rho))
-    return out
+    return _with_damping(out, rho, params)

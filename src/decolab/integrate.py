@@ -15,16 +15,17 @@ from typing import Callable, Sequence
 import numpy as np
 
 from . import generators
-from .exceptions import PositivityError, StepSizeError
+from .exceptions import KernelRoutingError, PositivityError, StepSizeError
 from .generators import ModelParams
 
 __all__ = ["EvolutionResult", "evolve", "evolve_nonmarkov", "observable", "default_dt"]
 
-RhsTerm = Callable[[np.ndarray, float], np.ndarray]
-
 #: 200 steps per oscillator period; resolves the fastest interaction-picture
 #: phase (~4 omega) comfortably.
 default_dt = 2.0 * np.pi / 200.0
+
+#: a sampled state whose smallest eigenvalue falls below this has lost positivity
+POSITIVITY_FLOOR = -1e-6
 
 
 @dataclass
@@ -37,11 +38,6 @@ class EvolutionResult:
     trace_drift: np.ndarray = field(default=None)   # |tr-1| before renorm, per sample
     herm_drift: np.ndarray = field(default=None)    # max |rho - rho†| before fix
     min_eigenvalue: np.ndarray = field(default=None)
-    failed: bool = False
-
-    @property
-    def times_seconds(self) -> np.ndarray:
-        return self.times_omega / self.omega
 
     def expect(self, name: str) -> np.ndarray:
         f = observable(name)
@@ -71,7 +67,10 @@ def _parse_observable(name: str) -> tuple[str | None, int, int]:
     m = _OBS_RE.match(name)
     if not m:
         raise ValueError(f"cannot parse observable {name!r}")
-    return m.group(1), int(m.group(2)), int(m.group(3))
+    prefix, i, j = m.group(1), int(m.group(2)), int(m.group(3))
+    if prefix is None and i != j:
+        raise ValueError(f"off-diagonal observable {name!r} needs re_/im_/abs_ prefix")
+    return prefix, i, j
 
 
 def observable(name: str) -> Callable[[np.ndarray], float]:
@@ -82,47 +81,24 @@ def observable(name: str) -> Callable[[np.ndarray], float]:
     indices use an underscore (`rho_10_10`).
     """
     prefix, i, j = _parse_observable(name)
-    if prefix == "re_":
-        return lambda rho: float(np.real(rho[i, j]))
-    if prefix == "im_":
-        return lambda rho: float(np.imag(rho[i, j]))
-    if prefix == "abs_":
-        return lambda rho: float(np.abs(rho[i, j]))
-    if i != j:
-        raise ValueError(f"off-diagonal observable {name!r} needs re_/im_/abs_ prefix")
-    return lambda rho: float(np.real(rho[i, j]))
+    part = {"re_": np.real, "im_": np.imag, "abs_": np.abs, None: np.real}[prefix]
+    return lambda rho: float(part(rho[i, j]))
 
 
-def _compose(rhs_terms: Sequence[RhsTerm]) -> RhsTerm:
-    terms = list(rhs_terms)
-
-    def rhs(rho: np.ndarray, t: float) -> np.ndarray:
-        out = terms[0](rho, t)
-        for f in terms[1:]:
-            out = out + f(rho, t)
-        return out
-
-    return rhs
-
-
-def evolve(rho0: np.ndarray, rhs_terms: Sequence[RhsTerm] | RhsTerm,
+def evolve(rho0: np.ndarray, rhs: Callable[[np.ndarray, float], np.ndarray],
            t_end: float, dt: float = default_dt, *, sample_every: int = 100,
-           omega: float = 1.0, positivity_floor: float = -1e-6) -> EvolutionResult:
-    """Integrate d rho/d(omega t) = sum(rhs_terms) with classical RK4.
+           omega: float = 1.0) -> EvolutionResult:
+    """Integrate d rho/d(omega t) = rhs(rho, t) with classical RK4.
 
-    Each term is called as f(rho, t) with dimensionless t.  After every step
-    rho is re-Hermitized ((rho+rho†)/2) and trace-renormalized; the drift is
-    recorded before correction.  Raises PositivityError when a sampled state
-    dips below ``positivity_floor``.
+    ``rhs`` is the whole right-hand side, called with dimensionless t.  After
+    every step rho is re-Hermitized ((rho+rho†)/2) and trace-renormalized; the
+    drift is recorded before correction.  Raises PositivityError when a
+    sampled state dips below ``POSITIVITY_FLOOR``.
     """
     if not dt > 0:
         raise ValueError("dt must be positive")
     if sample_every < 1:
         raise ValueError("sample_every must be at least 1")
-    if callable(rhs_terms):
-        rhs = rhs_terms
-    else:
-        rhs = _compose(rhs_terms)
 
     n_steps = max(1, int(round(t_end / dt)))
     rho = np.array(rho0, dtype=complex)
@@ -138,7 +114,7 @@ def evolve(rho0: np.ndarray, rhs_terms: Sequence[RhsTerm] | RhsTerm,
         hdrift.append(step_herm_drift)
         lo = float(np.linalg.eigvalsh(rho)[0])
         mineig.append(lo)
-        if lo < positivity_floor:
+        if lo < POSITIVITY_FLOOR:
             raise PositivityError(
                 f"state lost positivity at omega*t={idx_t:.6g} (min eig {lo:.3e})",
                 step=len(times) - 1, min_eigenvalue=lo)
@@ -169,21 +145,18 @@ def evolve(rho0: np.ndarray, rhs_terms: Sequence[RhsTerm] | RhsTerm,
 
 def evolve_nonmarkov(rho0: np.ndarray, params: ModelParams, t_end: float,
                      dt: float, *, sample_every: int = 100) -> EvolutionResult:
-    """Evolve under the exponential-memory-kernel master equation.
+    """Evolve under the exponential-memory-kernel master equation, with
+    amplitude damping when ``params.gamma`` is non-zero.
 
     The memory term is re-evaluated at every RK4 stage time.  Requires an
     exponential kernel and dt at most a tenth of the (dimensionless)
     correlation time.
     """
-    tau_dimless = params.kernel.tau * params.omega if params.kernel.kind == "exponential" else 0.0
     if params.kernel.kind != "exponential":
-        from .exceptions import KernelRoutingError
         raise KernelRoutingError("evolve_nonmarkov requires an exponential kernel")
+    tau_dimless = params.kernel.tau * params.omega
     if dt > tau_dimless / 10.0:
         raise StepSizeError(
             f"dt={dt:.3g} exceeds tau/10={tau_dimless / 10:.3g}; reduce the step")
-
-    terms = [lambda rho, t: generators.gup_nonmarkov_rhs(rho, t, params)]
-    if params.gamma:
-        terms.append(lambda rho, t: generators.damping_rhs(rho, params.gamma_dimless))
-    return evolve(rho0, terms, t_end, dt, sample_every=sample_every, omega=params.omega)
+    return evolve(rho0, lambda rho, t: generators.gup_nonmarkov_rhs(rho, t, params),
+                  t_end, dt, sample_every=sample_every, omega=params.omega)

@@ -167,7 +167,7 @@ class TestPerturbativeCurves:
     def test_short_time_against_master_equation(self):
         tau_g = 1e4
         p = ModelParams.from_dimensionless(omega_tau_g=tau_g, beta_bar=0.0)
-        rhs = [lambda r, t: generators.gup_markov_rhs(r, p)]
+        rhs = lambda r, t: generators.gup_markov_rhs(r, p)
         res = integrate.evolve(fock.density(fock.superposition01(16)), rhs,
                                100.0, 0.05, sample_every=400)
         coh = np.abs(analytic.gup_coherence01(res.times_omega, 0.0, tau_g))
@@ -204,7 +204,7 @@ class TestDampingSeries:
             out = -1j * (h @ r - r @ h)
             return out + generators.damping_rhs(r, gamma)
 
-        res = integrate.evolve(rho0, [rhs], 6.0, 0.005, sample_every=10**9)
+        res = integrate.evolve(rho0, rhs, 6.0, 0.005, sample_every=10**9)
         for n1, n2 in [(0, 0), (2, 4), (1, 3), (2, 2)]:
             pred = analytic.damping_series_element(n1, n2, 6.0, gamma, bb, ap, rho0)
             assert pred == pytest.approx(res.states[-1][n1, n2], abs=1e-8)

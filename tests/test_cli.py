@@ -1,11 +1,14 @@
 import json
 import math
+import tempfile
 import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from decolab import analytic, estimate
+from decolab import analytic, estimate, fock, integrate
 from decolab.cli import MODELS, RunConfig, main
 from decolab.exceptions import ConfigError
 
@@ -51,6 +54,16 @@ class TestConfigFile:
         kv = {"model": "gup-markov", "dim": 6, "t_end": 0.5, "dt": 0.05, **bad}
         assert main(["simulate", "--config", write_config(tmp_path, **kv)]) == 2
         assert next(iter(bad)) in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["simulate", "ensemble"])
+    @pytest.mark.parametrize("name", ["rho_01", "rho_99", "foo"])
+    def test_bad_observable_is_exit_2(self, tmp_path, capsys, command, name):
+        cfg = write_config(tmp_path, model="gup-markov", omega_tau_g=500.0,
+                           dim=6, t_end=0.5, dt=0.05, observables=f"rho_00,{name}",
+                           csv_out=str(tmp_path / "out.csv"))
+        assert main([command, "--config", cfg]) == 2
+        assert name in capsys.readouterr().err
+        assert not (tmp_path / "out.csv").exists()
 
     def test_model_parameter_errors_are_config_errors(self):
         with pytest.raises(ConfigError):
@@ -197,6 +210,38 @@ class TestWigner:
         assert abs(data["ellipticity"]["value"]) < 1e-6
         assert csv.read_text().splitlines()[0] == "x,p,w"
 
+    def test_overflowing_grid_reports_null_ellipticity(self, tmp_path):
+        out = tmp_path / "w.json"
+        cfg = write_config(tmp_path, model="damping-only", t_end=0.0, dim=6,
+                           grid_halfwidth=1e300, json_out=str(out))
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            assert main(["wigner", "--config", cfg]) == 0
+        assert json.loads(out.read_text())["ellipticity"] == {"value": None,
+                                                              "sigma": None}
+
+    def test_each_model_evolves_under_its_own_generator(self, tmp_path):
+        common = dict(dim=12, initial_state="fock(1)", t_end=20.0, dt=0.05,
+                      omega_tau_g=500.0, beta_bar=1.0, kernel="exponential",
+                      omega_tau_kernel=2.0, grid_halfwidth=3.0, grid_points=11)
+        grids = {}
+        for model in ("gup-nonmarkov", "damping-only"):
+            csv = tmp_path / f"{model}.csv"
+            cfg = write_config(tmp_path, name=f"{model}.cfg", model=model,
+                               csv_out=str(csv), **common)
+            assert main(["wigner", "--config", cfg]) == 0
+            grids[model] = np.loadtxt(csv, delimiter=",", skiprows=1)[:, 2]
+        cfg = RunConfig(model="gup-nonmarkov", **common)
+        cfg.validate()
+        rho = integrate.evolve_nonmarkov(
+            fock.density(fock.fock_state(1, 12)), cfg.model_params(), 20.0,
+            0.05).states[-1]
+        axis = np.linspace(-3.0, 3.0, 11)
+        want = fock.wigner(rho, axis, axis).values.ravel()
+        assert np.array_equal(grids["gup-nonmarkov"],
+                              np.array([float(f"{w:.12g}") for w in want]))
+        assert np.max(np.abs(grids["gup-nonmarkov"] - grids["damping-only"])) > 1e-4
+
 
 class TestAnalyticCommand:
     def test_curve_csv(self, tmp_path):
@@ -236,3 +281,73 @@ class TestAnalyticCommand:
             f"{t[i]:.12g},{p00[i]:.12g},{coh[i]:.12g},{p11[i]:.12g}"
             for i in range(len(t))]
         assert csv.read_text() == "\n".join(rows) + "\n"
+
+
+# A valid config with up to three fields replaced by out-of-range, non-finite
+# or malformed values.  Every bound is set by cost alone.  `dim` stays at 3-8
+# because a huge dim allocates dim x dim operators before any step runs,
+# which no config check answers yet.
+_VALID = st.fixed_dictionaries({
+    "model": st.sampled_from(MODELS),
+    "dim": st.integers(3, 8),
+    "initial_state": st.sampled_from(["vacuum", "superposition01", "fock(2)"]),
+    "t_end": st.floats(0.0, 2.0),
+    "dt": st.floats(1e-3, 0.5),
+    "sample_every": st.integers(1, 200),
+    "seed": st.integers(0, 3),
+    "n_traj": st.just(100),
+    "noise_kind": st.sampled_from(["white", "ornstein-uhlenbeck"]),
+    "omega_tau_g": st.just(math.inf) | st.floats(1e-2, 1e6),
+    "omega_tau_d": st.just(math.inf) | st.floats(1e-2, 1e6),
+    "gamma_dimless": st.just(0.0) | st.floats(0.0, 1.0),
+    "beta_bar": st.floats(-3.0, 3.0),
+    "ap_hw": st.floats(1e-35, 1e-2),
+    "kernel": st.sampled_from(["delta", "exponential"]),
+    "omega_tau_kernel": st.floats(1e-3, 10.0),
+    "f_hz": st.just(0.0) | st.floats(1.0, 1e10),
+    "grid_halfwidth": st.floats(0.1, 8.0),
+    "grid_points": st.integers(3, 21),
+    "observables": st.lists(st.sampled_from(
+        ["rho_00", "abs_rho_01", "re_rho_12", "im_rho_2_0", "rho_11"]),
+        max_size=3).map(",".join),
+})
+_NON_FINITE = [math.nan, math.inf, -math.inf]
+_INVALID = {
+    "initial_state": st.sampled_from(["fock(9)", "cat"]),
+    "t_end": st.sampled_from(_NON_FINITE + [-1.0]),
+    "dt": st.sampled_from(_NON_FINITE + [0.0, -0.01]),
+    "sample_every": st.sampled_from([0, -1]),
+    "seed": st.just(-1),
+    "noise_kind": st.just("pink"),
+    "omega_tau_g": st.sampled_from([math.nan, -math.inf, -1.0, 0.0, 1e-310]),
+    "omega_tau_d": st.sampled_from([math.nan, -math.inf, -1.0, 0.0]),
+    "gamma_dimless": st.sampled_from(_NON_FINITE + [-1.0]),
+    "beta_bar": st.sampled_from(_NON_FINITE),
+    "ap_hw": st.sampled_from(_NON_FINITE + [-1.0, 0.0, 1e-200, 1e200]),
+    "kernel": st.just("gaussian"),
+    "omega_tau_kernel": st.sampled_from(_NON_FINITE + [-1.0, 0.0]),
+    "f_hz": st.sampled_from(_NON_FINITE + [-1.0, 1e308]),
+    "grid_halfwidth": st.sampled_from(_NON_FINITE + [-1.0, 0.0, 1e-300, 1e300]),
+    "grid_points": st.sampled_from([0, 1, 2]),
+    "observables": st.sampled_from(["rho_01", "rho_99", "foo", "rho_00,abs_rho_77"]),
+}
+
+
+@st.composite
+def _configs(draw):
+    values = draw(_VALID)
+    for key in draw(st.sets(st.sampled_from(sorted(_INVALID)), max_size=3)):
+        values[key] = draw(_INVALID[key])
+    return values
+
+
+@settings(max_examples=60, deadline=None)
+@given(command=st.sampled_from(["simulate", "wigner", "analytic", "ensemble"]),
+       values=_configs())
+def test_every_config_ends_in_a_contract_exit_code(command, values):
+    with tempfile.TemporaryDirectory() as tmp, warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        values = dict(values, csv_out=f"{tmp}/out.csv", json_out=f"{tmp}/out.json")
+        with open(f"{tmp}/run.cfg", "w") as fh:
+            fh.write("".join(f"{k} = {v}\n" for k, v in values.items()))
+        assert main([command, "--config", f"{tmp}/run.cfg"]) in (0, 2, 3, 4)

@@ -1,12 +1,13 @@
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
 
 from decolab import estimate, fock
 from decolab.estimate import TimeSeriesDataset
-from decolab.exceptions import (ConfigError, InitializationError,
+from decolab.exceptions import (ConfigError, FitFailureError, InitializationError,
                                 ModelInconsistencyError)
 
 
@@ -192,6 +193,19 @@ class TestWignerEllipticity:
 
         got, _ = estimate.ellipticity_from_wigner(G())
         assert got == pytest.approx(eps, abs=1e-4)
+
+    # 1e300: the cell area overflows, so the mass is inf; 1e156: the mass is
+    # finite but x² overflows, so the second moments are 0 * inf = nan
+    @pytest.mark.parametrize("halfwidth,points,match", [
+        (1e300, 81, "mass"), (1e156, 201, "covariance is not finite")])
+    def test_non_finite_mass_or_moments_raise(self, halfwidth, points, match):
+        rho = fock.density(fock.fock_state(0, 6))
+        axis = np.linspace(-halfwidth, halfwidth, points)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            grid = fock.wigner(rho, axis, axis)
+            with pytest.raises(FitFailureError, match=match):
+                estimate.ellipticity_from_wigner(grid)
 
 
 class TestFeasibilityAndReport:

@@ -44,11 +44,18 @@ class TestConstantsAndParams:
         assert p.gup_rate_dimless == pytest.approx(1 / 125e3)
         assert p.breuer_rate_dimless == pytest.approx(0.5 / 2e4)
 
+    @pytest.mark.parametrize("ap_hw", [0.0, 1e-200, 1e200])
+    def test_finite_omega_tau_g_needs_a_coupling(self, ap_hw):
+        with pytest.raises(ValueError, match="ap_hw"):
+            ModelParams.from_dimensionless(omega_tau_g=100.0, ap_hw=ap_hw)
+
     def test_negative_parameters_rejected(self):
         with pytest.raises(ValueError):
             ModelParams(omega=1.0, gamma=-0.1)
         with pytest.raises(ValueError):
             ModelParams(omega=0.0)
+        with pytest.raises(ValueError):
+            ModelParams(omega=math.inf)
 
 
 class TestHamiltonians:

@@ -35,7 +35,7 @@ class TestObservableParser:
 class TestEvolve:
     def test_null_generator_is_identity(self):
         rho0 = fock.density(fock.superposition01(5))
-        res = integrate.evolve(rho0, [lambda r, t: np.zeros_like(r)], 5.0, 0.05)
+        res = integrate.evolve(rho0, lambda r, t: np.zeros_like(r), 5.0, 0.05)
         assert np.allclose(res.states[-1], rho0, atol=1e-14)
         assert res.times_omega[0] == 0.0
         assert np.all(np.diff(res.times_omega) > 0)
@@ -44,7 +44,7 @@ class TestEvolve:
         gamma = 0.1
         rho0 = fock.density(fock.fock_state(1, 6))
         res = integrate.evolve(
-            rho0, [lambda r, t: generators.damping_rhs(r, gamma)],
+            rho0, lambda r, t: generators.damping_rhs(r, gamma),
             50.0, 0.01, sample_every=1000)
         expected = np.exp(-gamma * res.times_omega)
         assert np.max(np.abs(res.expect("rho_11") - expected)) < 1e-8
@@ -53,7 +53,7 @@ class TestEvolve:
         p = ModelParams.from_dimensionless(omega_tau_g=100.0, beta_bar=1.0)
         rho0 = fock.density(fock.superposition01(10))
         res = integrate.evolve(
-            rho0, [lambda r, t: generators.gup_markov_rhs(r, p)],
+            rho0, lambda r, t: generators.gup_markov_rhs(r, p),
             10.0, 0.01, sample_every=100)
         assert np.max(res.trace_drift) < 1e-12
         assert np.max(res.herm_drift) < 1e-10
@@ -67,12 +67,12 @@ class TestEvolve:
 
         rho0 = fock.density(fock.superposition01(8))
         with pytest.raises(PositivityError) as err:
-            integrate.evolve(rho0, [antidissipator], 50.0, 0.01, sample_every=5)
+            integrate.evolve(rho0, antidissipator, 50.0, 0.01, sample_every=5)
         assert err.value.min_eigenvalue < -1e-6
 
     def test_csv_columns(self, tmp_path):
         rho0 = fock.density(fock.superposition01(4))
-        res = integrate.evolve(rho0, [lambda r, t: np.zeros_like(r)], 1.0, 0.1,
+        res = integrate.evolve(rho0, lambda r, t: np.zeros_like(r), 1.0, 0.1,
                                omega=2.0)
         path = tmp_path / "out.csv"
         res.to_csv(path, ["rho_00", "abs_rho_01"])
@@ -84,12 +84,12 @@ class TestEvolve:
     def test_bad_dt_rejected(self):
         rho0 = fock.density(fock.fock_state(0, 4))
         with pytest.raises(ValueError):
-            integrate.evolve(rho0, [lambda r, t: r], 1.0, 0.0)
+            integrate.evolve(rho0, lambda r, t: r, 1.0, 0.0)
 
     def test_sample_every_below_one_rejected(self):
         rho0 = fock.density(fock.fock_state(0, 4))
         with pytest.raises(ValueError, match="sample_every"):
-            integrate.evolve(rho0, [lambda r, t: 0 * r], 1.0, 0.1, sample_every=0)
+            integrate.evolve(rho0, lambda r, t: 0 * r, 1.0, 0.1, sample_every=0)
 
 
 class TestNonMarkov:
@@ -124,7 +124,7 @@ class TestNonMarkov:
         res_nm = integrate.evolve_nonmarkov(rho0, p, 1.0, tau / 10,
                                             sample_every=5000)
         res_m = integrate.evolve(
-            rho0, [lambda r, t: generators.gup_markov_rhs(r, p)],
+            rho0, lambda r, t: generators.gup_markov_rhs(r, p),
             1.0, 0.005, sample_every=100)
         p00_nm = res_nm.expect("rho_00")[-1]
         p00_m = res_m.expect("rho_00")[-1]

@@ -1,0 +1,31 @@
+"""Smoke runs of the scripts under scripts/, each in its own interpreter."""
+
+import os
+import pathlib
+import subprocess
+import sys
+
+import pytest
+
+ROOT = pathlib.Path(__file__).resolve().parents[1]
+
+
+def run_script(name, *args, cwd):
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    return subprocess.run([sys.executable, str(ROOT / "scripts" / name), *args],
+                          cwd=cwd, env=env, capture_output=True, text=True,
+                          timeout=300)
+
+
+@pytest.mark.parametrize("name,args,outputs", [
+    ("run_fig1.py", ["--t-end", "50", "--dim", "8", "--out-dir", "fig"],
+     ["fig/p00.csv", "fig/coh01.csv", "fig/p11.csv"]),
+    ("run_trajectories.py", ["--n-traj", "100", "--t-end", "0.5", "--dim", "8",
+                             "--csv-out", "ens.csv"], ["ens.csv"]),
+    ("run_bounds.py", ["--json-out", "bounds.json"], ["bounds.json"]),
+])
+def test_script_runs_and_writes_its_outputs(tmp_path, name, args, outputs):
+    proc = run_script(name, *args, cwd=tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    for out in outputs:
+        assert (tmp_path / out).stat().st_size > 0
