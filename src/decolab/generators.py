@@ -33,8 +33,10 @@ __all__ = [
     "h_rwa",
     "h_full",
     "gup_markov_rhs",
+    "gup_markov_form",
     "gup_nonmarkov_rhs",
     "breuer_rhs",
+    "breuer_form",
     "damping_rhs",
     "heisenberg_k2",
     "energy_level",
@@ -225,6 +227,16 @@ def _commutator(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return a @ b - b @ a
 
 
+def _double_commutator(a: np.ndarray, rho: np.ndarray) -> np.ndarray:
+    """[A, [A, rho]] for real symmetric A and Hermitian rho, in two products.
+
+    With X = A rho, [A, rho] = X - X† = C; with Y = A C, [A, C] = Y + Y†.
+    """
+    x = a @ rho
+    y = a @ (x - x.conj().T)
+    return y + y.conj().T
+
+
 def damping_rhs(rho: np.ndarray, gamma_dimless: float) -> np.ndarray:
     """Amplitude damping gamma (a rho a† - {N, rho}/2) in dimensionless time."""
     dim = rho.shape[0]
@@ -241,6 +253,34 @@ def _with_damping(out: np.ndarray, rho: np.ndarray, params: ModelParams) -> np.n
     return out
 
 
+def gup_markov_form(params: ModelParams, dim: int) -> tuple[np.ndarray, np.ndarray, float]:
+    """(R, A, c) of the Markovian deformed-commutator model: the phase rates
+    R_ab = -i (E_a - E_b) of the RWA levels, A = K² and c = 1/(omega tau_G).
+
+    ``gup_markov_rhs`` is R * rho - c [A, [A, rho]] plus damping.
+    """
+    return (_rwa_phase_rates(dim, params.beta_bar, params.ap_hw), _k2_op(dim),
+            params.gup_rate_dimless)
+
+
+def breuer_form(params: ModelParams, dim: int) -> tuple[np.ndarray, np.ndarray, float]:
+    """(R, A, c) of the metric-fluctuation model: the phase rates of the
+    harmonic levels n, A = K and c = tau_c omega / 2 = 1/(2 omega tau_D).
+
+    ``breuer_rhs`` is R * rho - c [A, [A, rho]] plus damping.
+    """
+    return _rwa_phase_rates(dim, 0.0, 0.0), _k_op(dim), params.breuer_rate_dimless
+
+
+def _lindblad_rhs(rho: np.ndarray, form: tuple, params: ModelParams) -> np.ndarray:
+    """R * rho - c [A, [A, rho]] plus damping, for a model's form (R, A, c)."""
+    rates, op, c = form
+    out = rates * rho
+    if c:
+        out -= c * _double_commutator(op, rho)
+    return _with_damping(out, rho, params)
+
+
 def gup_markov_rhs(rho: np.ndarray, params: ModelParams) -> np.ndarray:
     """Markovian deformed-commutator master equation right-hand side.
 
@@ -248,14 +288,9 @@ def gup_markov_rhs(rho: np.ndarray, params: ModelParams) -> np.ndarray:
                          + damping at params.gamma.
     H_RWA is diagonal, so its commutator is the elementwise product
     -i (E_a - E_b) rho_ab.  With kappa = 0 this is the damping-only model.
+    rho must be Hermitian.
     """
-    dim = rho.shape[0]
-    out = _rwa_phase_rates(dim, params.beta_bar, params.ap_hw) * rho
-    c = params.gup_rate_dimless
-    if c:
-        k2 = _k2_op(dim)
-        out -= c * _commutator(k2, _commutator(k2, rho))
-    return _with_damping(out, rho, params)
+    return _lindblad_rhs(rho, gup_markov_form(params, rho.shape[0]), params)
 
 
 def breuer_rhs(rho: np.ndarray, params: ModelParams) -> np.ndarray:
@@ -263,15 +298,9 @@ def breuer_rhs(rho: np.ndarray, params: ModelParams) -> np.ndarray:
 
     d rho / d(omega t) = -i [N, rho] - (tau_c omega / 2) [K, [K, rho]]
                          + damping at params.gamma.
+    rho must be Hermitian.
     """
-    dim = rho.shape[0]
-    n = np.arange(dim, dtype=float)
-    out = -1j * (n[:, None] - n[None, :]) * rho
-    c = params.breuer_rate_dimless
-    if c:
-        k = _k_op(dim)
-        out = out - c * _commutator(k, _commutator(k, rho))
-    return _with_damping(out, rho, params)
+    return _lindblad_rhs(rho, breuer_form(params, rho.shape[0]), params)
 
 
 def heisenberg_k2(h_prime: np.ndarray, s: float) -> np.ndarray:

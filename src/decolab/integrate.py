@@ -1,9 +1,11 @@
-"""Fixed-step time evolution of density matrices.
+"""Time evolution of density matrices, sampled on a fixed-step grid.
 
 Classical RK4 with per-step re-Hermitization and trace renormalization; the
 drift removed by those corrections is recorded so that long runs stay valid
 while the error remains observable.  Problems at the parameter scales of
-interest are non-stiff, and fixed steps keep runs bit-reproducible.
+interest are non-stiff, and fixed steps keep runs bit-reproducible.  For a
+constant generator, ``propagate_blocks`` samples the exact exp(L t) on the
+same grid, one parity block of L at a time.
 """
 
 from __future__ import annotations
@@ -13,12 +15,14 @@ from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 import numpy as np
+from scipy.linalg import expm
 
-from . import generators
+from . import fock, generators
 from .exceptions import KernelRoutingError, PositivityError, StepSizeError
 from .generators import ModelParams
 
-__all__ = ["EvolutionResult", "evolve", "evolve_nonmarkov", "observable", "default_dt"]
+__all__ = ["EvolutionResult", "evolve", "evolve_nonmarkov", "propagate_blocks",
+           "parity_blocks", "observable", "default_dt"]
 
 #: 200 steps per oscillator period; resolves the fastest interaction-picture
 #: phase (~4 omega) comfortably.
@@ -38,6 +42,7 @@ class EvolutionResult:
     trace_drift: np.ndarray = field(default=None)   # |tr-1| before renorm, per sample
     herm_drift: np.ndarray = field(default=None)    # max |rho - rho†| before fix
     min_eigenvalue: np.ndarray = field(default=None)
+    propagator: str = "rk4"          # rk4 | exact-blocks
 
     def expect(self, name: str) -> np.ndarray:
         f = observable(name)
@@ -85,62 +90,156 @@ def observable(name: str) -> Callable[[np.ndarray], float]:
     return lambda rho: float(part(rho[i, j]))
 
 
+def _sample_steps(t_end: float, dt: float, sample_every: int) -> list[int]:
+    """Steps that end in a sample: 0, every ``sample_every``-th and the last
+    of round(t_end/dt) steps (at least one)."""
+    if not dt > 0:
+        raise ValueError("dt must be positive")
+    if sample_every < 1:
+        raise ValueError("sample_every must be at least 1")
+    n_steps = max(1, int(round(t_end / dt)))
+    steps = list(range(0, n_steps + 1, sample_every))
+    return steps if steps[-1] == n_steps else steps + [n_steps]
+
+
+def _corrected(rho: np.ndarray) -> np.ndarray:
+    """rho re-Hermitized ((rho+rho†)/2) and renormalized to unit trace."""
+    rho = 0.5 * (rho + rho.conj().T)
+    return rho / np.real(np.trace(rho))
+
+
+class _Samples:
+    """Sampled states and their diagnostics, checked as they are added; the
+    first is rho0 as given."""
+
+    def __init__(self, rho0: np.ndarray, dt: float, omega: float):
+        self.dt, self.omega = dt, omega
+        self.times, self.states, self.tdrift, self.hdrift, self.mineig = [], [], [], [], []
+        self._record(0, np.asarray(rho0, dtype=complex), 0.0, 0.0)
+
+    def add(self, step: int, rho: np.ndarray) -> np.ndarray:
+        """Record the drift that ``_corrected`` removes from rho, then the
+        corrected rho, which is returned."""
+        trace_drift = abs(float(np.real(np.trace(rho))) - 1.0)
+        herm_drift = float(np.max(np.abs(rho - rho.conj().T)))
+        rho = _corrected(rho)
+        self._record(step, rho, trace_drift, herm_drift)
+        return rho
+
+    def _record(self, step: int, rho: np.ndarray, trace_drift: float,
+                herm_drift: float) -> None:
+        t = step * self.dt
+        self.times.append(t)
+        self.states.append(rho.copy())
+        self.tdrift.append(trace_drift)
+        self.hdrift.append(herm_drift)
+        if not np.all(np.isfinite(rho)):
+            raise PositivityError(f"state is not finite at omega*t={t:.6g}",
+                                  step=len(self.times) - 1, min_eigenvalue=np.nan)
+        lo = float(np.linalg.eigvalsh(rho)[0])
+        self.mineig.append(lo)
+        if lo < POSITIVITY_FLOOR:
+            raise PositivityError(
+                f"state lost positivity at omega*t={t:.6g} (min eig {lo:.3e})",
+                step=len(self.times) - 1, min_eigenvalue=lo)
+
+    def result(self, propagator: str) -> EvolutionResult:
+        return EvolutionResult(
+            times_omega=np.array(self.times), states=np.array(self.states),
+            omega=self.omega, trace_drift=np.array(self.tdrift),
+            herm_drift=np.array(self.hdrift), min_eigenvalue=np.array(self.mineig),
+            propagator=propagator)
+
+
 def evolve(rho0: np.ndarray, rhs: Callable[[np.ndarray, float], np.ndarray],
            t_end: float, dt: float = default_dt, *, sample_every: int = 100,
            omega: float = 1.0) -> EvolutionResult:
     """Integrate d rho/d(omega t) = rhs(rho, t) with classical RK4.
 
     ``rhs`` is the whole right-hand side, called with dimensionless t.  After
-    every step rho is re-Hermitized ((rho+rho†)/2) and trace-renormalized; the
-    drift is recorded before correction.  Raises PositivityError when a
-    sampled state dips below ``POSITIVITY_FLOOR``.
+    every step rho is re-Hermitized ((rho+rho†)/2) and trace-renormalized; on
+    a sampled step the drift is recorded before correction.  Raises
+    PositivityError when a sampled state dips below ``POSITIVITY_FLOOR`` or
+    is not finite.
     """
-    if not dt > 0:
-        raise ValueError("dt must be positive")
-    if sample_every < 1:
-        raise ValueError("sample_every must be at least 1")
-
-    n_steps = max(1, int(round(t_end / dt)))
+    steps = _sample_steps(t_end, dt, sample_every)
+    sampled = set(steps)
     rho = np.array(rho0, dtype=complex)
-    times, states, tdrift, hdrift, mineig = [], [], [], [], []
-
-    step_trace_drift = 0.0
-    step_herm_drift = 0.0
-
-    def record(idx_t: float):
-        times.append(idx_t)
-        states.append(rho.copy())
-        tdrift.append(step_trace_drift)
-        hdrift.append(step_herm_drift)
-        lo = float(np.linalg.eigvalsh(rho)[0])
-        mineig.append(lo)
-        if lo < POSITIVITY_FLOOR:
-            raise PositivityError(
-                f"state lost positivity at omega*t={idx_t:.6g} (min eig {lo:.3e})",
-                step=len(times) - 1, min_eigenvalue=lo)
-
-    record(0.0)
-    for step in range(n_steps):
+    samples = _Samples(rho, dt, omega)
+    for step in range(steps[-1]):
         t = step * dt
         k1 = rhs(rho, t)
         k2 = rhs(rho + 0.5 * dt * k1, t + 0.5 * dt)
         k3 = rhs(rho + 0.5 * dt * k2, t + 0.5 * dt)
         k4 = rhs(rho + dt * k3, t + dt)
         rho = rho + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        if step + 1 in sampled:
+            rho = samples.add(step + 1, rho)
+        else:
+            rho = _corrected(rho)
+    return samples.result("rk4")
 
-        tr = np.trace(rho)
-        step_trace_drift = abs(float(np.real(tr)) - 1.0)
-        step_herm_drift = float(np.max(np.abs(rho - rho.conj().T)))
-        rho = 0.5 * (rho + rho.conj().T)
-        rho = rho / np.real(np.trace(rho))
 
-        if (step + 1) % sample_every == 0 or step == n_steps - 1:
-            record((step + 1) * dt)
+def parity_blocks(dim: int, damped: bool) -> list[np.ndarray]:
+    """Row-major indices of the elements of rho in each block that a constant
+    generator never couples.
 
-    return EvolutionResult(
-        times_omega=np.array(times), states=np.array(states), omega=omega,
-        trace_drift=np.array(tdrift), herm_drift=np.array(hdrift),
-        min_eigenvalue=np.array(mineig))
+    K and K² move n by even steps, so the phases and the double commutator
+    conserve (m mod 2, n mod 2): four blocks.  Damping (a rho a†) moves
+    (m, n) to (m-1, n-1), which conserves only (m - n) mod 2: two blocks.
+    """
+    m, n = np.divmod(np.arange(dim * dim), dim)
+    key = (m - n) % 2 if damped else 2 * (m % 2) + n % 2
+    return [np.flatnonzero(key == k) for k in np.unique(key)]
+
+
+def _block_liouvillian(idx: np.ndarray, dim: int, rates: np.ndarray,
+                       op: np.ndarray, c: float, gamma: float) -> np.ndarray:
+    """Rows and columns ``idx`` of the Liouvillian on row-major vec(rho) of
+    R * rho - c [A, [A, rho]] + gamma (a rho a† - {N, rho}/2).
+
+    X rho Y is X ⊗ Yᵀ on vec(rho); its block is X[m, m'] Yᵀ[n, n'] over the
+    pairs (m, n), (m', n') of the block.  A and a are real, A symmetric.
+    """
+    m, n = np.divmod(idx, dim)
+
+    def kron(x, y):
+        return x[np.ix_(m, m)] * y[np.ix_(n, n)]
+
+    eye, a, op2 = np.eye(dim), fock.ladder(dim), op @ op
+    return (np.diag(rates.ravel()[idx] - 0.5 * gamma * (m + n))
+            - c * (kron(op2, eye) - 2.0 * kron(op, op) + kron(eye, op2))
+            + gamma * kron(a, a))
+
+
+def propagate_blocks(rho0: np.ndarray, rates: np.ndarray, op: np.ndarray,
+                     c: float, gamma: float, t_end: float, dt: float = default_dt,
+                     *, sample_every: int = 100, omega: float = 1.0) -> EvolutionResult:
+    """Sample exp(L t) rho0 exactly, on ``evolve``'s grid, for the constant
+    generator L rho = R * rho - c [A, [A, rho]] + gamma (a rho a† - {N, rho}/2)
+    with R = ``rates`` and A = ``op`` (a form from ``generators``).
+
+    L is never formed whole: each parity block gets one ``expm`` per distinct
+    sample interval (at most two), which carries that block's slice of rho
+    from sample to sample, one block at a time.  ``dt`` sets only the grid.
+    Re-Hermitizing and renormalizing commute with exp(L t), so they are
+    applied to each sample, after its drift is recorded, and not fed back.
+    Raises PositivityError like ``evolve``.
+    """
+    steps = _sample_steps(t_end, dt, sample_every)
+    gaps = [b - a for a, b in zip(steps, steps[1:])]
+    dim = rho0.shape[0]
+    flat = np.empty((len(steps), dim * dim), dtype=complex)
+    flat[0] = np.asarray(rho0, dtype=complex).ravel()
+    for idx in parity_blocks(dim, damped=bool(gamma)):
+        lv = _block_liouvillian(idx, dim, rates, op, c, gamma)
+        props = {g: expm(lv * (g * dt)) for g in set(gaps)}
+        for i, g in enumerate(gaps, 1):
+            flat[i, idx] = props[g] @ flat[i - 1, idx]
+    samples = _Samples(rho0, dt, omega)
+    for step, vec in zip(steps[1:], flat[1:]):
+        samples.add(step, vec.reshape(dim, dim))
+    return samples.result("exact-blocks")
 
 
 def evolve_nonmarkov(rho0: np.ndarray, params: ModelParams, t_end: float,

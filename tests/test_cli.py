@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from decolab import analytic, estimate, fock, integrate
+from decolab import analytic, cli, estimate, fock, generators, integrate
 from decolab.cli import MODELS, RunConfig, main
 from decolab.exceptions import ConfigError
 
@@ -121,6 +121,63 @@ class TestSimulate:
             assert main(["simulate", "--config", cfg]) == 0
             outs.append(csv.read_bytes())
         assert outs[0] == outs[1]
+
+    @pytest.mark.parametrize("model,dim,gamma,propagator", [
+        ("gup-markov", 8, 0.0, "exact-blocks"),    # blocks of order 16
+        ("breuer", 22, 0.03, "exact-blocks"),      # 242 <= 256
+        ("damping-only", 23, 0.03, "rk4"),         # 265 > 256
+        ("gup-markov", 33, 0.0, "rk4"),            # 289 > 256
+    ])
+    def test_each_path_reports_its_name_and_edge_population(
+            self, tmp_path, model, dim, gamma, propagator):
+        top = [f"rho_{n}_{n}" for n in range(dim - 4, dim)]
+        cfg = write_config(
+            tmp_path, model=model, dim=dim, initial_state="fock(1)",
+            gamma_dimless=gamma, omega_tau_g=5e4, omega_tau_d=30.0, t_end=1.0,
+            dt=0.05, sample_every=5, observables=",".join(top),
+            csv_out=str(tmp_path / "s.csv"), json_out=str(tmp_path / "s.json"))
+        assert main(["simulate", "--config", cfg]) == 0
+        diag = json.loads((tmp_path / "s.json").read_text())["diagnostics"]
+        assert diag["propagator"] == propagator
+        edge = np.loadtxt(tmp_path / "s.csv", delimiter=",", skiprows=1)[:, 2:]
+        assert diag["edge_population"] == pytest.approx(np.max(edge.sum(axis=1)),
+                                                        rel=1e-10, abs=1e-15)
+
+    def test_rk4_above_the_block_limit_keeps_its_bytes(self, tmp_path):
+        # dim 33 without damping has parity blocks of order 289; RK4 with the
+        # four-product double commutator is the reference, byte for byte
+        dim = 33
+        cfg = write_config(
+            tmp_path, model="gup-markov", dim=dim, initial_state="superposition01",
+            omega_tau_g=5e4, beta_bar=1.0, ap_hw=1e-3, t_end=0.5, dt=0.05,
+            sample_every=3, observables="rho_00,abs_rho_01,re_rho_02,im_rho_13",
+            csv_out=str(tmp_path / "cli.csv"), json_out=str(tmp_path / "s.json"))
+        assert main(["simulate", "--config", cfg]) == 0
+        params = RunConfig.from_file(cfg).model_params()
+        rates, k2, c = generators.gup_markov_form(params, dim)
+        comm = lambda a, b: a @ b - b @ a
+        ref = integrate.evolve(
+            fock.density(fock.superposition01(dim)),
+            lambda rho, t: rates * rho - c * comm(k2, comm(k2, rho)), 0.5, 0.05,
+            sample_every=3)
+        ref.to_csv(tmp_path / "ref.csv", ["rho_00", "abs_rho_01", "re_rho_02",
+                                          "im_rho_13"])
+        assert (tmp_path / "cli.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+
+    @pytest.mark.parametrize("limit", [cli.EXACT_BLOCK_LIMIT, 0],
+                             ids=["exact-blocks", "rk4"])
+    @pytest.mark.parametrize("gamma", [0.0, 1e300])
+    def test_overflowing_generator_is_exit_3(self, tmp_path, capsys, monkeypatch,
+                                             limit, gamma):
+        monkeypatch.setattr(cli, "EXACT_BLOCK_LIMIT", limit)
+        cfg = write_config(tmp_path, model="gup-markov", dim=4, ap_hw=1e100,
+                           omega_tau_g=1e-150, gamma_dimless=gamma,
+                           json_out=str(tmp_path / "s.json"))
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            assert main(["simulate", "--config", cfg]) == 3
+        err = capsys.readouterr().err
+        assert "numeric failure" in err and "Traceback" not in err
 
 
 class TestEnsemble:

@@ -137,6 +137,16 @@ class TestRhs:
         out = generators.breuer_rhs(rho, p)
         assert abs(np.trace(out)) < 1e-12
         assert np.max(np.abs(out - out.conj().T)) < 1e-12
+        # reference: the dense commutators with N and K
+        comm = lambda a, b: a @ b - b @ a
+        for dim in (8, 16, 40):
+            rho = random_density(dim, seed)
+            n = np.diag(np.arange(dim, dtype=float))
+            k = generators._k_op(dim)
+            ref = (-1j * comm(n, rho)
+                   - p.breuer_rate_dimless * comm(k, comm(k, rho)))
+            out = generators.breuer_rhs(rho, p)
+            assert np.max(np.abs(out - ref)) <= 1e-15 * max(1.0, np.max(np.abs(ref)))
 
     def test_damping_traceless_and_decay_direction(self):
         rho = fock.density(fock.fock_state(3, 8))

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.linalg import expm
 
 from decolab import fock, generators, integrate
 from decolab.exceptions import KernelRoutingError, PositivityError, StepSizeError
@@ -90,6 +91,79 @@ class TestEvolve:
         rho0 = fock.density(fock.fock_state(0, 4))
         with pytest.raises(ValueError, match="sample_every"):
             integrate.evolve(rho0, lambda r, t: 0 * r, 1.0, 0.1, sample_every=0)
+
+
+def dense_liouvillian(form, gamma, dim):
+    """The whole Liouvillian on row-major vec(rho), from the dense terms:
+    X rho Y is X ⊗ Yᵀ."""
+    rates, op, c = form
+    eye, a = np.eye(dim), fock.ladder(dim)
+    n = np.diag(np.arange(dim, dtype=float))
+    op2 = op @ op
+    return (np.diag(rates.ravel())
+            - c * (np.kron(op2, eye) - 2.0 * np.kron(op, op.T) + np.kron(eye, op2.T))
+            + gamma * (np.kron(a, a.conj()) - 0.5 * (np.kron(n, eye) + np.kron(eye, n))))
+
+
+def constant_form(model, gamma, dim):
+    """(params, form) of a constant model at visible anharmonicity."""
+    p = ModelParams.from_dimensionless(
+        omega_tau_g=50.0 if model == "gup-markov" else math.inf,
+        omega_tau_d=30.0, gamma_dimless=gamma, beta_bar=1.0, ap_hw=1e-2)
+    if model == "breuer":
+        return p, generators.breuer_form(p, dim)
+    return p, generators.gup_markov_form(p, dim)
+
+
+def random_density(dim, seed=0):
+    rng = np.random.default_rng(seed)
+    m = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+    rho = m @ m.conj().T
+    return rho / np.trace(rho).real
+
+
+class TestPropagateBlocks:
+    @pytest.mark.parametrize("dim", [3, 8])
+    @pytest.mark.parametrize("gamma", [0.0, 0.05])
+    @pytest.mark.parametrize("model", ["gup-markov", "breuer", "damping-only"])
+    def test_matches_expm_of_the_whole_liouvillian(self, model, gamma, dim):
+        p, form = constant_form(model, gamma, dim)
+        rho0 = random_density(dim)
+        # 13 steps sampled every 4: intervals of 0.4 and a last one of 0.1
+        res = integrate.propagate_blocks(rho0, *form, p.gamma_dimless, 1.3, 0.1,
+                                         sample_every=4)
+        assert res.propagator == "exact-blocks"
+        lv = dense_liouvillian(form, p.gamma_dimless, dim)
+        want = [expm(lv * t) @ rho0.ravel() for t in res.times_omega]
+        assert np.max(np.abs(res.states.reshape(len(want), -1) - want)) < 1e-12
+        assert np.max(res.trace_drift) < 1e-12 and np.max(res.herm_drift) < 1e-12
+
+    @pytest.mark.parametrize("dim", [3, 8])
+    @pytest.mark.parametrize("gamma", [0.0, 0.05])
+    @pytest.mark.parametrize("model", ["gup-markov", "breuer"])
+    def test_blocks_partition_vec_rho_and_do_not_couple(self, model, gamma, dim):
+        p, form = constant_form(model, gamma, dim)
+        lv = dense_liouvillian(form, p.gamma_dimless, dim)
+        blocks = integrate.parity_blocks(dim, damped=bool(gamma))
+        assert len(blocks) == (2 if gamma else 4)
+        assert np.array_equal(np.sort(np.concatenate(blocks)), np.arange(dim * dim))
+        for i, rows in enumerate(blocks):
+            for j, cols in enumerate(blocks):
+                if i != j:
+                    assert np.all(lv[np.ix_(rows, cols)] == 0)
+
+    @pytest.mark.parametrize("t_end,dt,sample_every", [
+        (0.0, 0.1, 3), (1.3, 0.1, 4), (1.2, 0.1, 4), (0.35, 0.1, 100),
+        (2.0, 0.3, 1)])
+    def test_sample_times_equal_rk4(self, t_end, dt, sample_every):
+        p, form = constant_form("gup-markov", 0.0, 4)
+        rho0 = fock.density(fock.superposition01(4))
+        exact = integrate.propagate_blocks(rho0, *form, 0.0, t_end, dt,
+                                           sample_every=sample_every)
+        rk4 = integrate.evolve(rho0, lambda r, t: generators.gup_markov_rhs(r, p),
+                               t_end, dt, sample_every=sample_every)
+        assert np.array_equal(exact.times_omega, rk4.times_omega)
+        assert exact.states.shape == rk4.states.shape
 
 
 class TestNonMarkov:
