@@ -466,6 +466,14 @@ def planck_feasibility(constants: PhysicalConstants = PLANCK) -> dict:
     }
 
 
+def _quantity(value, sigma, unit) -> Optional[dict]:
+    """{"value", "sigma", "unit"}, or None for a value that is missing or
+    infinite, which constrains nothing."""
+    if value is None or (isinstance(value, float) and math.isinf(value)):
+        return None
+    return {"value": value, "sigma": sigma, "unit": unit}
+
+
 @dataclass(frozen=True)
 class BoundsReport:
     """All derived upper bounds with units, uncertainties, and input echo.
@@ -481,20 +489,15 @@ class BoundsReport:
     feasibility: dict = field(default_factory=planck_feasibility)
 
     def to_json(self, path=None) -> str:
-        def q(value, sigma, unit):
-            if value is None or (isinstance(value, float) and math.isinf(value)):
-                return None
-            return {"value": value, "sigma": sigma, "unit": unit}
-
         payload = {
             "inputs": self.inputs,
             "gup": self.gup,
             "breuer": self.breuer,
             "deformation": self.deformation,
             "feasibility": {
-                "mass_frequency_product": q(
+                "mass_frequency_product": _quantity(
                     self.feasibility["mass_frequency_product"], 0.0, "kg^2/s^3"),
-                "omega_sq_over_gamma": q(
+                "omega_sq_over_gamma": _quantity(
                     self.feasibility["omega_sq_over_gamma"], 0.0, "1/s"),
             },
         }
@@ -515,40 +518,35 @@ def bounds_report(t1: float, sigma_t1: float, t2: float, sigma_t2: float,
     (null) when the inputs carry no constraint (e.g. tau infinite at
     T2 = 2 T1) or when epsilon is not supplied.
     """
-    def q(value, sigma, unit):
-        if isinstance(value, float) and math.isinf(value):
-            return None
-        return {"value": value, "sigma": sigma, "unit": unit}
-
     inputs = {
-        "T1": q(t1, sigma_t1, "s"),
-        "T2": q(t2, sigma_t2, "s"),
-        "omega": q(omega, 0.0, "rad/s"),
-        "ap_hw": q(ap_hw, 0.0, "dimensionless"),
-        "x0": q(x0, 0.0, "m"),
-        "epsilon": q(epsilon, sigma_epsilon, "dimensionless") if epsilon is not None else None,
+        "T1": _quantity(t1, sigma_t1, "s"),
+        "T2": _quantity(t2, sigma_t2, "s"),
+        "omega": _quantity(omega, 0.0, "rad/s"),
+        "ap_hw": _quantity(ap_hw, 0.0, "dimensionless"),
+        "x0": _quantity(x0, 0.0, "m"),
+        "epsilon": _quantity(epsilon, sigma_epsilon, "dimensionless"),
     }
 
     gup_sol = solve_rates_gup(t1, t2, sigma_t1, sigma_t2)
     gup = {
-        "gamma_inv": q(gup_sol.gamma_inv, gup_sol.gamma_inv_sigma, "s"),
-        "tau_g": q(gup_sol.tau, gup_sol.tau_sigma, "s"),
+        "gamma_inv": _quantity(gup_sol.gamma_inv, gup_sol.gamma_inv_sigma, "s"),
+        "tau_g": _quantity(gup_sol.tau, gup_sol.tau_sigma, "s"),
     }
     if math.isfinite(gup_sol.tau):
         kappa, skappa = kappa_from_tau_g(gup_sol.tau, ap_hw, omega,
                                          gup_sol.tau_sigma)
-        gup["kappa"] = q(kappa, skappa, "s")
+        gup["kappa"] = _quantity(kappa, skappa, "s")
     else:
         gup["kappa"] = None
 
     br_sol = solve_rates_breuer(t1, t2, sigma_t1, sigma_t2)
     breuer = {
-        "gamma_inv": q(br_sol.gamma_inv, br_sol.gamma_inv_sigma, "s"),
-        "tau_d": q(br_sol.tau, br_sol.tau_sigma, "s"),
+        "gamma_inv": _quantity(br_sol.gamma_inv, br_sol.gamma_inv_sigma, "s"),
+        "tau_d": _quantity(br_sol.tau, br_sol.tau_sigma, "s"),
     }
     if math.isfinite(br_sol.tau):
         tau_c, stau_c = tau_c_from_tau_d(br_sol.tau, omega, br_sol.tau_sigma)
-        breuer["tau_c"] = q(tau_c, stau_c, "s")
+        breuer["tau_c"] = _quantity(tau_c, stau_c, "s")
     else:
         breuer["tau_c"] = None
 
@@ -557,9 +555,9 @@ def bounds_report(t1: float, sigma_t1: float, t2: float, sigma_t2: float,
         beta, sbeta = beta_from_epsilon(epsilon, ap_hw, sigma_epsilon)
         lk = lk_from_epsilon(epsilon, x0, sigma_epsilon)
         deformation = {
-            "beta_bar": q(beta, sbeta, "dimensionless"),
-            "l_k": q(lk.value, lk.sigma, "m"),
-            "l_k_reference": q(lk.reference_value, lk.reference_sigma, "m"),
+            "beta_bar": _quantity(beta, sbeta, "dimensionless"),
+            "l_k": _quantity(lk.value, lk.sigma, "m"),
+            "l_k_reference": _quantity(lk.reference_value, lk.reference_sigma, "m"),
         }
 
     return BoundsReport(inputs=inputs, gup=gup, breuer=breuer,

@@ -178,17 +178,33 @@ class ModelParams:
 
 # -- cached operator builders -----------------------------------------------
 
+def _real(op: np.ndarray) -> np.ndarray:
+    """The real part of an operator whose entries are real, read-only: real
+    products with it take half the flops of complex ones."""
+    out = np.ascontiguousarray(op.real)
+    out.setflags(write=False)
+    return out
+
+
 @lru_cache(maxsize=32)
 def _k_op(dim: int) -> np.ndarray:
-    return fock.kinetic(dim)
+    """K, real."""
+    return _real(fock.kinetic(dim))
 
 
 @lru_cache(maxsize=32)
 def _k2_op(dim: int) -> np.ndarray:
+    """K², complex: the trajectories diagonalise it and the memory operator
+    and h_full scale it, so their results keep their bytes."""
     k = fock.kinetic(dim)
     k2 = k @ k
     k2.setflags(write=False)
     return k2
+
+
+@lru_cache(maxsize=32)
+def _k2_real(dim: int) -> np.ndarray:
+    return _real(_k2_op(dim))
 
 
 @lru_cache(maxsize=32)
@@ -227,14 +243,19 @@ def _commutator(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return a @ b - b @ a
 
 
-def _double_commutator(a: np.ndarray, rho: np.ndarray) -> np.ndarray:
-    """[A, [A, rho]] for real symmetric A and Hermitian rho, in two products.
+def _double_commutator(a: np.ndarray, rho: np.ndarray, c: float) -> np.ndarray:
+    """c [A, [A, rho]] for real symmetric A and Hermitian rho, in two products.
 
     With X = A rho, [A, rho] = X - X† = C; with Y = A C, [A, C] = Y + Y†.
+    Each product is one real product of A with the interleaved (re, im)
+    columns of the complex matrix's float view.
     """
-    x = a @ rho
-    y = a @ (x - x.conj().T)
-    return y + y.conj().T
+    x = (a @ np.ascontiguousarray(rho, dtype=complex).view(float)).view(complex)
+    x -= x.conj().T
+    y = (a @ x.view(float)).view(complex)
+    y += y.conj().T
+    y *= c
+    return y
 
 
 def damping_rhs(rho: np.ndarray, gamma_dimless: float) -> np.ndarray:
@@ -249,23 +270,25 @@ def damping_rhs(rho: np.ndarray, gamma_dimless: float) -> np.ndarray:
 def _with_damping(out: np.ndarray, rho: np.ndarray, params: ModelParams) -> np.ndarray:
     """Add amplitude damping last, so each generator rounds as its terms' sum."""
     if params.gamma:
-        out = out + damping_rhs(rho, params.gamma_dimless)
+        out += damping_rhs(rho, params.gamma_dimless)
     return out
 
 
 def gup_markov_form(params: ModelParams, dim: int) -> tuple[np.ndarray, np.ndarray, float]:
     """(R, A, c) of the Markovian deformed-commutator model: the phase rates
-    R_ab = -i (E_a - E_b) of the RWA levels, A = K² and c = 1/(omega tau_G).
+    R_ab = -i (E_a - E_b) of the RWA levels, A = K² (real, read-only) and
+    c = 1/(omega tau_G).
 
     ``gup_markov_rhs`` is R * rho - c [A, [A, rho]] plus damping.
     """
-    return (_rwa_phase_rates(dim, params.beta_bar, params.ap_hw), _k2_op(dim),
+    return (_rwa_phase_rates(dim, params.beta_bar, params.ap_hw), _k2_real(dim),
             params.gup_rate_dimless)
 
 
 def breuer_form(params: ModelParams, dim: int) -> tuple[np.ndarray, np.ndarray, float]:
     """(R, A, c) of the metric-fluctuation model: the phase rates of the
-    harmonic levels n, A = K and c = tau_c omega / 2 = 1/(2 omega tau_D).
+    harmonic levels n, A = K (real, read-only) and
+    c = tau_c omega / 2 = 1/(2 omega tau_D).
 
     ``breuer_rhs`` is R * rho - c [A, [A, rho]] plus damping.
     """
@@ -277,7 +300,7 @@ def _lindblad_rhs(rho: np.ndarray, form: tuple, params: ModelParams) -> np.ndarr
     rates, op, c = form
     out = rates * rho
     if c:
-        out -= c * _double_commutator(op, rho)
+        out -= _double_commutator(op, rho, c)
     return _with_damping(out, rho, params)
 
 
@@ -342,6 +365,15 @@ def memory_operator(t: float, params: ModelParams, dim: int) -> np.ndarray:
     return _k2_op(dim) * (-np.expm1(-z * (s / tau)) / (2.0 * z))
 
 
+@lru_cache(maxsize=2)
+def _memory_operator_at(t: float, params: ModelParams, dim: int) -> np.ndarray:
+    """``memory_operator``, read-only and kept for the last two times: RK4's
+    two midpoint stages share theirs."""
+    m = memory_operator(t, params, dim)
+    m.setflags(write=False)
+    return m
+
+
 def gup_nonmarkov_rhs(rho: np.ndarray, t: float, params: ModelParams) -> np.ndarray:
     """Memory-kernel deformed-commutator right-hand side (time-convolutionless).
 
@@ -355,7 +387,7 @@ def gup_nonmarkov_rhs(rho: np.ndarray, t: float, params: ModelParams) -> np.ndar
     out = _rwa_phase_rates(dim, params.beta_bar, params.ap_hw) * rho
     c = 2.0 * params.gup_rate_dimless
     if c:
-        m = memory_operator(t, params, dim)
+        m = _memory_operator_at(t, params, dim)
         k2 = _k2_op(dim)
         out -= c * _commutator(k2, _commutator(m, rho))
     return _with_damping(out, rho, params)

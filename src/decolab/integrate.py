@@ -104,8 +104,17 @@ def _sample_steps(t_end: float, dt: float, sample_every: int) -> list[int]:
 
 def _corrected(rho: np.ndarray) -> np.ndarray:
     """rho re-Hermitized ((rho+rho†)/2) and renormalized to unit trace."""
-    rho = 0.5 * (rho + rho.conj().T)
-    return rho / np.real(np.trace(rho))
+    h = rho + rho.conj().T
+    h *= 0.5
+    h /= np.real(np.trace(h))
+    return h
+
+
+def _stage(rho: np.ndarray, h: float, k: np.ndarray) -> np.ndarray:
+    """rho + h k, as a fresh complex array."""
+    out = np.multiply(h, k, dtype=complex)
+    out += rho
+    return out
 
 
 class _Samples:
@@ -166,13 +175,22 @@ def evolve(rho0: np.ndarray, rhs: Callable[[np.ndarray, float], np.ndarray],
     sampled = set(steps)
     rho = np.array(rho0, dtype=complex)
     samples = _Samples(rho, dt, omega)
+    half, sixth = 0.5 * dt, dt / 6.0
     for step in range(steps[-1]):
         t = step * dt
         k1 = rhs(rho, t)
-        k2 = rhs(rho + 0.5 * dt * k1, t + 0.5 * dt)
-        k3 = rhs(rho + 0.5 * dt * k2, t + 0.5 * dt)
-        k4 = rhs(rho + dt * k3, t + dt)
-        rho = rho + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        k2 = rhs(_stage(rho, half, k1), t + half)
+        k3 = rhs(_stage(rho, half, k2), t + half)
+        k4 = rhs(_stage(rho, dt, k3), t + dt)
+        # rho + dt/6 (((k1 + 2 k2) + 2 k3) + k4), accumulated in a fresh
+        # array: the k belong to rhs and may be shared or read-only
+        s = np.multiply(2.0, k2, dtype=complex)
+        s += k1
+        s += 2.0 * k3
+        s += k4
+        s *= sixth
+        s += rho
+        rho = s
         if step + 1 in sampled:
             rho = samples.add(step + 1, rho)
         else:
@@ -206,6 +224,9 @@ def _block_liouvillian(idx: np.ndarray, dim: int, rates: np.ndarray,
     def kron(x, y):
         return x[np.ix_(m, m)] * y[np.ix_(n, n)]
 
+    # A² in complex arithmetic: OpenBLAS rounds some entries of a real A @ A
+    # differently, and the blocks keep the bytes of a complex A
+    op = np.asarray(op, dtype=complex)
     eye, a, op2 = np.eye(dim), fock.ladder(dim), op @ op
     return (np.diag(rates.ravel()[idx] - 0.5 * gamma * (m + n))
             - c * (kron(op2, eye) - 2.0 * kron(op, op) + kron(eye, op2))

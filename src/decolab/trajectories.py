@@ -75,13 +75,13 @@ def sample_noise(kind: str, kappa_dimless: float, tau: float, dt: float,
         decay = math.exp(-dt / tau)
         stat_sd = math.sqrt(kappa_dimless / (2.0 * tau))
         kick_sd = stat_sd * math.sqrt(1.0 - decay ** 2)
-        x = np.empty(n_steps)
         val = rng.normal(0.0, stat_sd)
         kicks = rng.normal(0.0, kick_sd, size=n_steps)
-        for k in range(n_steps):
-            x[k] = val
-            val = val * decay + kicks[k]
-        inc = x * dt
+        x = []
+        for kick in kicks.tolist():  # the AR(1) recursion, on Python floats
+            x.append(val)
+            val = val * decay + kick
+        inc = np.array(x) * dt
     inc.setflags(write=False)
     return NoisePath(dt=dt, increments=inc, kind=kind, tau=tau, seed=seed, stream=stream)
 

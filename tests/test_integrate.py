@@ -166,6 +166,132 @@ class TestPropagateBlocks:
         assert exact.states.shape == rk4.states.shape
 
 
+def reference_rk4(rho0, rhs, n_steps, dt, sample_every):
+    """Sampled states of RK4 with out-of-place stage sums and the correction
+    0.5 (rho + rho†) / tr after every step."""
+    rho = np.array(rho0, dtype=complex)
+    states = [rho]
+    for step in range(n_steps):
+        t = step * dt
+        k1 = rhs(rho, t)
+        k2 = rhs(rho + 0.5 * dt * k1, t + 0.5 * dt)
+        k3 = rhs(rho + 0.5 * dt * k2, t + 0.5 * dt)
+        k4 = rhs(rho + dt * k3, t + dt)
+        rho = rho + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        rho = 0.5 * (rho + rho.conj().T)
+        rho = rho / np.real(np.trace(rho))
+        if (step + 1) % sample_every == 0 or step + 1 == n_steps:
+            states.append(rho)
+    return np.array(states)
+
+
+def complex_rhs(form, p):
+    """R * rho - c [A, [A, rho]] plus damping, with A complex: two complex
+    products, X = A rho and Y = A (X - X†), give Y + Y†."""
+    rates, op, c = form
+    a = np.asarray(op, dtype=complex)
+
+    def rhs(rho, t):
+        out = rates * rho
+        x = a @ rho
+        y = a @ (x - x.conj().T)
+        out -= c * (y + y.conj().T)
+        return out + generators.damping_rhs(rho, p.gamma_dimless) if p.gamma else out
+
+    return rhs
+
+
+def complex_nonmarkov_rhs(p, dim):
+    """The memory-kernel right-hand side with the memory operator built
+    afresh at every call."""
+    rates, k2 = generators.gup_markov_form(p, dim)[0], generators._k2_op(dim)
+    comm = lambda a, b: a @ b - b @ a
+
+    def rhs(rho, t):
+        out = rates * rho
+        m = generators.memory_operator(t, p, dim)
+        out -= 2.0 * p.gup_rate_dimless * comm(k2, comm(m, rho))
+        return out + generators.damping_rhs(rho, p.gamma_dimless) if p.gamma else out
+
+    return rhs
+
+
+def rk4_form(model, gamma, dim):
+    """(params, form) of a constant model that RK4 at dt = 0.05 resolves."""
+    if model == "breuer":
+        p = ModelParams.from_dimensionless(omega_tau_d=50.0, gamma_dimless=gamma)
+        return p, generators.breuer_form(p, dim)
+    p = ModelParams.from_dimensionless(omega_tau_g=5e4, beta_bar=1.0, ap_hw=1e-3,
+                                       gamma_dimless=gamma)
+    return p, generators.gup_markov_form(p, dim)
+
+
+class TestRk4Bytes:
+    """``evolve`` multiplies by the real A on rho's interleaved float view and
+    sums its stages in place.  Where the BLAS rounds those real products as it
+    rounds the complex ones (OpenBLAS: dims below 17 and dims 0 or 3 mod 4),
+    the states are bitwise those of complex products and out-of-place sums."""
+
+    @pytest.mark.parametrize("model,dim,gamma", [
+        ("breuer", 40, 0.0), ("gup-markov", 24, 0.0),
+        ("breuer", 24, 0.03), ("gup-markov", 12, 0.03)])
+    def test_constant_generators_keep_their_bytes(self, model, dim, gamma):
+        p, form = rk4_form(model, gamma, dim)
+        rhs = generators.breuer_rhs if model == "breuer" else generators.gup_markov_rhs
+        rho0 = fock.density(fock.superposition01(dim))
+        res = integrate.evolve(rho0, lambda r, t: rhs(r, p), 20.0, 0.05)
+        ref = reference_rk4(rho0, complex_rhs(form, p), 400, 0.05, 100)
+        assert np.array_equal(res.states, ref)
+
+    @pytest.mark.parametrize("gamma", [0.0, 0.03])
+    def test_memory_kernel_keeps_its_bytes(self, gamma):
+        p = ModelParams.from_dimensionless(
+            omega_tau_g=500.0, beta_bar=1.0, ap_hw=1e-3, gamma_dimless=gamma,
+            kernel=KernelSpec(kind="exponential", tau=2.0))
+        rho0 = fock.density(fock.superposition01(12))
+        res = integrate.evolve_nonmarkov(rho0, p, 40.0, 0.1, sample_every=50)
+        ref = reference_rk4(rho0, complex_nonmarkov_rhs(p, 12), 400, 0.1, 50)
+        assert np.array_equal(res.states, ref)
+
+    @pytest.mark.parametrize("model,dim,gamma", [("breuer", 34, 0.0),
+                                                 ("gup-markov", 33, 0.03)])
+    def test_other_dims_differ_by_rounding_only(self, model, dim, gamma):
+        p, form = rk4_form(model, gamma, dim)
+        rhs = generators.breuer_rhs if model == "breuer" else generators.gup_markov_rhs
+        rho0 = fock.density(fock.superposition01(dim))
+        res = integrate.evolve(rho0, lambda r, t: rhs(r, p), 20.0, 0.05)
+        ref = reference_rk4(rho0, complex_rhs(form, p), 400, 0.05, 100)
+        assert np.max(np.abs(res.states - ref)) < 1e-15
+
+    def test_rhs_may_return_a_shared_read_only_real_array(self):
+        k = np.full((4, 4), 1e-3)
+        k.setflags(write=False)
+        rho0 = fock.density(fock.fock_state(0, 4))
+        res = integrate.evolve(rho0, lambda r, t: k, 1.0, 0.1, sample_every=5)
+        assert np.all(k == 1e-3)
+        ref = reference_rk4(rho0, lambda r, t: k, 10, 0.1, 5)
+        assert np.array_equal(res.states, ref)
+
+    def test_memory_operator_once_per_stage_time(self, monkeypatch):
+        built = []
+        memory_operator = generators.memory_operator
+
+        def counted(t, params, dim):
+            built.append(t)
+            return memory_operator(t, params, dim)
+
+        monkeypatch.setattr(generators, "memory_operator", counted)
+        generators._memory_operator_at.cache_clear()
+        p = ModelParams.from_dimensionless(
+            omega_tau_g=500.0, kernel=KernelSpec(kind="exponential", tau=2.0))
+        integrate.evolve_nonmarkov(fock.density(fock.superposition01(6)), p, 2.0, 0.1)
+        # 20 steps: the two midpoint stages share a time, so at most 3 per step
+        assert 0 < len(built) <= 60 and len(set(built)) == len(built)
+        m = generators._memory_operator_at(built[-1], p, 6)
+        assert not m.flags.writeable
+        assert np.array_equal(m, memory_operator(built[-1], p, 6))
+
+
 class TestNonMarkov:
     def test_requires_exponential_kernel(self):
         p = ModelParams.from_dimensionless(omega_tau_g=100.0)

@@ -26,6 +26,25 @@ class TestNoiseSampling:
         r1 = np.corrcoef(x[:-1], x[1:])[0, 1]
         assert r1 == pytest.approx(math.exp(-dt / tau), rel=0.01)
 
+    @pytest.mark.parametrize("n_steps", [0, 1, 120, 4000])
+    def test_ou_path_bytes_equal_an_array_loop(self, n_steps):
+        kappa, tau, dt = 0.3, 2.0, 0.025
+        decay = math.exp(-dt / tau)
+        stat_sd = math.sqrt(kappa / (2.0 * tau))
+        for seed in range(5):
+            path = trajectories.sample_noise("ornstein-uhlenbeck", kappa, tau, dt,
+                                             n_steps, seed=seed, stream=seed)
+            rng = trajectories._rng(seed, seed)
+            val = rng.normal(0.0, stat_sd)
+            kicks = rng.normal(0.0, stat_sd * math.sqrt(1.0 - decay ** 2), size=n_steps)
+            x = np.empty(n_steps)
+            for k in range(n_steps):
+                x[k] = val
+                val = val * decay + kicks[k]
+            want = x * dt
+            assert path.increments.dtype == want.dtype
+            assert np.array_equal(path.increments, want)
+
     def test_unresolved_ou_rejected(self):
         with pytest.raises(ResolutionError):
             trajectories.sample_noise("ornstein-uhlenbeck", 0.1, 0.04, 0.01,
