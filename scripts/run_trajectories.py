@@ -32,8 +32,8 @@ def main() -> int:
     sample_every = max(1, n_steps // 10)
 
     ens = trajectories.ensemble_average(
-        psi0, params, args.n_traj, args.seed, dt=args.dt, n_steps=n_steps,
-        sample_every=sample_every)
+        psi0, generators.model("gup-markov", params, args.dim), args.n_traj,
+        args.seed, dt=args.dt, n_steps=n_steps, sample_every=sample_every)
     ref = integrate.evolve(
         fock.density(psi0),
         lambda rho, t: generators.gup_markov_rhs(rho, params),

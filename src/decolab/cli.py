@@ -32,7 +32,7 @@ from .exceptions import (
     ModelInconsistencyError,
     PositivityError,
 )
-from .generators import KernelSpec, ModelParams
+from .generators import MODELS, KernelSpec, ModelParams
 
 __all__ = ["RunConfig", "main"]
 
@@ -45,9 +45,6 @@ PROFILES = {
         "ap_hw": 1.5e-33,
     },
 }
-
-MODELS = ("gup-markov", "gup-nonmarkov", "breuer", "damping-only")
-
 
 @dataclass
 class RunConfig:
@@ -252,27 +249,39 @@ def _analytic_curves(cfg: RunConfig, times: np.ndarray) -> dict:
 EXACT_BLOCK_LIMIT = 256
 
 
+#: RK4 is stable on the negative real axis down to h λ = -2.785; the
+#: eigenvalues of c [A, [A, ·]] are c (a_i - a_j)² for the eigenvalues a of A
+RK4_REAL_LIMIT = 2.78
+
+
+def _check_rk4_step(cfg: RunConfig, m: generators.Model) -> None:
+    """Exit 2 rather than blow up when dt is past RK4's stability limit for
+    the model's double commutator."""
+    a = np.linalg.eigvalsh(m.op)
+    stiffness = m.c * (a[-1] - a[0]) ** 2
+    if cfg.dt * stiffness > RK4_REAL_LIMIT:
+        raise ConfigError(
+            f"dt={cfg.dt:.6g} is past RK4's stability limit: dt c (a_max - a_min)² "
+            f"= {cfg.dt * stiffness:.3g} > {RK4_REAL_LIMIT}; take dt <= "
+            f"{RK4_REAL_LIMIT / stiffness:.3g}")
+
+
 def _evolve(cfg: RunConfig, rho0: np.ndarray) -> integrate.EvolutionResult:
-    """Evolve rho0 to t_end under the model's generator: the one place a model
-    picks it, from ``generators`` at call time rather than at import, and the
-    one place a constant generator picks the exact block propagator over RK4."""
-    params = cfg.model_params()
-    if cfg.model == "gup-nonmarkov":
-        return integrate.evolve_nonmarkov(rho0, params, cfg.t_end, cfg.dt,
+    """Evolve rho0 to t_end under the model's description: the one place a
+    model picks its generator, from ``generators`` at call time rather than at
+    import, and the one place a constant generator picks the exact block
+    propagator over RK4."""
+    m = generators.model(cfg.model, cfg.model_params(), cfg.dim)
+    blocks = integrate.parity_blocks(cfg.dim, damped=bool(m.gamma))
+    if cfg.model != "gup-nonmarkov" and max(map(len, blocks)) <= EXACT_BLOCK_LIMIT:
+        return integrate.propagate_blocks(rho0, m, cfg.t_end, cfg.dt,
                                           sample_every=cfg.sample_every)
-    if cfg.model == "damping-only":
-        params = dataclasses.replace(params, kappa=0.0)
-    if cfg.model == "breuer":
-        rhs, form = generators.breuer_rhs, generators.breuer_form
-    else:
-        rhs, form = generators.gup_markov_rhs, generators.gup_markov_form
-    gamma = params.gamma_dimless
-    blocks = integrate.parity_blocks(cfg.dim, damped=bool(gamma))
-    if max(map(len, blocks)) <= EXACT_BLOCK_LIMIT:
-        return integrate.propagate_blocks(
-            rho0, *form(params, cfg.dim), gamma, cfg.t_end, cfg.dt,
-            sample_every=cfg.sample_every, omega=cfg.omega)
-    return integrate.evolve(rho0, lambda rho, t: rhs(rho, params), cfg.t_end,
+    _check_rk4_step(cfg, m)
+    if cfg.model == "gup-nonmarkov":
+        return integrate.evolve_nonmarkov(rho0, m.params, cfg.t_end, cfg.dt,
+                                          sample_every=cfg.sample_every)
+    rhs = generators.breuer_rhs if cfg.model == "breuer" else generators.gup_markov_rhs
+    return integrate.evolve(rho0, lambda rho, t: rhs(rho, m.params), cfg.t_end,
                             cfg.dt, sample_every=cfg.sample_every, omega=cfg.omega)
 
 
@@ -303,16 +312,18 @@ def cmd_simulate(cfg: RunConfig) -> int:
 
 
 def cmd_ensemble(cfg: RunConfig) -> int:
-    if cfg.model not in ("gup-markov", "gup-nonmarkov"):
-        raise ConfigError(f"ensemble unravels the deformation noise of the gup "
-                          f"models; model {cfg.model!r} has none")
-    params = cfg.model_params()
-    psi0 = cfg.parse_state(cfg.dim)
+    m = generators.model(cfg.model, cfg.model_params(), cfg.dim)
+    if not m.c:
+        raise ConfigError(f"model {cfg.model!r} has no fluctuation noise to unravel "
+                          f"at these scales")
+    if cfg.noise_kind != m.noise:
+        raise ConfigError(f"noise_kind {cfg.noise_kind!r} does not match model "
+                          f"{cfg.model!r} with kernel {cfg.kernel!r}, whose noise "
+                          f"is {m.noise!r}")
     n_steps = max(1, int(round(cfg.t_end / cfg.dt)))
     result = trajectories.ensemble_average(
-        psi0, params, cfg.n_traj, cfg.seed, dt=cfg.dt, n_steps=n_steps,
-        sample_every=cfg.sample_every, noise_kind=cfg.noise_kind,
-        chunk_size=cfg.chunk_size)
+        cfg.parse_state(cfg.dim), m, cfg.n_traj, cfg.seed, dt=cfg.dt,
+        n_steps=n_steps, sample_every=cfg.sample_every, chunk_size=cfg.chunk_size)
     if cfg.csv_out:
         result.to_csv(cfg.csv_out, cfg.observable_names())
     _write_json(cfg.json_out, {

@@ -2,7 +2,9 @@
 
 All generators work in dimensionless units (hbar = 1, time measured in
 omega*t, energies in hbar*omega).  Physical inputs live in ModelParams and are
-folded into dimensionless coefficients here:
+folded into dimensionless coefficients here, in one frozen description per
+model (``model``) that the right-hand sides, the memory operator, the exact
+block propagator and the trajectories all read:
 
 * deformed-commutator (double K² commutator) dissipator, Markovian and
   exponential-memory-kernel forms,
@@ -28,19 +30,24 @@ from .exceptions import KernelRoutingError
 __all__ = [
     "PhysicalConstants",
     "PLANCK",
+    "MODELS",
     "KernelSpec",
     "ModelParams",
     "h_rwa",
     "h_full",
+    "Model",
+    "model",
     "gup_markov_rhs",
-    "gup_markov_form",
     "gup_nonmarkov_rhs",
     "breuer_rhs",
-    "breuer_form",
     "damping_rhs",
     "heisenberg_k2",
     "energy_level",
 ]
+
+
+#: the model names that ``model`` describes
+MODELS = ("gup-markov", "gup-nonmarkov", "breuer", "damping-only")
 
 
 @dataclass(frozen=True)
@@ -124,32 +131,6 @@ class ModelParams:
     def gamma_dimless(self) -> float:
         return self.gamma / self.omega
 
-    @property
-    def kappa_dimless(self) -> float:
-        """kappa * omega; variance of the white deformation noise per omega*t."""
-        return self.kappa * self.omega
-
-    @property
-    def gup_rate_dimless(self) -> float:
-        """Markovian double-K² coefficient 8 (a_P hw)² kappa omega = 1/(omega tau_G)."""
-        if not self.kappa:  # no noise; ap_hw² may overflow and must not be formed
-            return 0.0
-        return 8.0 * self.ap_hw ** 2 * self.kappa * self.omega
-
-    @property
-    def omega_tau_g(self) -> float:
-        r = self.gup_rate_dimless
-        return math.inf if r == 0 else 1.0 / r
-
-    @property
-    def breuer_rate_dimless(self) -> float:
-        """Double-K coefficient tau_c * omega / 2 = 1/(2 omega tau_D)."""
-        return 0.5 * self.tau_c * self.omega
-
-    @property
-    def omega_tau_d(self) -> float:
-        return math.inf if self.tau_c == 0 else 1.0 / (self.tau_c * self.omega)
-
     @classmethod
     def from_dimensionless(cls, *, omega_tau_g: float = math.inf,
                            omega_tau_d: float = math.inf,
@@ -194,17 +175,12 @@ def _k_op(dim: int) -> np.ndarray:
 
 @lru_cache(maxsize=32)
 def _k2_op(dim: int) -> np.ndarray:
-    """K², complex: the trajectories diagonalise it and the memory operator
-    and h_full scale it, so their results keep their bytes."""
+    """K², complex, for h_full and heisenberg_k2.  Its imaginary parts are all
+    +0, so the real A of the gup description casts back to these bytes."""
     k = fock.kinetic(dim)
     k2 = k @ k
     k2.setflags(write=False)
     return k2
-
-
-@lru_cache(maxsize=32)
-def _k2_real(dim: int) -> np.ndarray:
-    return _real(_k2_op(dim))
 
 
 @lru_cache(maxsize=32)
@@ -219,13 +195,53 @@ def energy_level(n, beta_bar: float = 0.0, ap_hw: float = 0.0):
     return e if e.ndim else float(e)
 
 
+@dataclass(frozen=True, eq=False)
+class Model:
+    """One fluctuation model at given scales and cutoff, in omega*t units: its
+    master equation R * rho - c [A, [A, rho]] plus damping, and the noise
+    average of the random unitary exp(-i g xi A) that unravels it, with xi a
+    white (tau = 0) or Ornstein-Uhlenbeck (tau > 0) noise of strength kappa,
+    so that c = g² kappa / 2."""
+
+    levels: np.ndarray   # E_n of the diagonal H_RWA
+    rates: np.ndarray    # R_ab = -i (E_a - E_b), so -i [H_RWA, rho] = R * rho
+    op: np.ndarray       # A: K² or K, real and read-only
+    c: float             # double-commutator rate
+    gamma: float         # amplitude-damping rate
+    g: float             # coupling of the noise to A
+    kappa: float         # noise strength
+    tau: float           # noise correlation time; 0 for a delta kernel
+    params: ModelParams  # the scales it stands for (kappa = 0 for damping-only)
+
+    @property
+    def noise(self) -> str:
+        """The noise its trajectories draw: white or ornstein-uhlenbeck."""
+        return "white" if self.tau == 0 else "ornstein-uhlenbeck"
+
+
 @lru_cache(maxsize=32)
-def _rwa_phase_rates(dim: int, beta_bar: float, ap_hw: float) -> np.ndarray:
-    """Elementwise factor -i (E_a - E_b), so that -i [H_RWA, rho] = factor * rho."""
-    levels = energy_level(np.arange(dim), beta_bar, ap_hw)
+def model(name: str, params: ModelParams, dim: int) -> Model:
+    """The description of model ``name`` (one of MODELS) at ``params``, cut off
+    at ``dim``: the one place a model name maps to its parts."""
+    if name == "breuer":  # A = K, c = tau_c omega / 2 = 1/(2 omega tau_D)
+        levels, op, g = energy_level(np.arange(dim)), _k_op(dim), 1.0
+        kappa, tau = params.tau_c * params.omega, 0.0
+        c = 0.5 * params.tau_c * params.omega
+    elif name in MODELS:  # A = K², c = 8 (a_P hw)² kappa omega = 1/(omega tau_G)
+        if name == "damping-only":
+            params = replace(params, kappa=0.0, kernel=KernelSpec())
+        levels = energy_level(np.arange(dim), params.beta_bar, params.ap_hw)
+        op, g, kappa = _real(_k2_op(dim)), 4.0 * params.ap_hw, params.kappa * params.omega
+        tau = (params.kernel.tau * params.omega
+               if params.kernel.kind == "exponential" else 0.0)
+        # with no noise, ap_hw² may overflow and must not be formed
+        c = 8.0 * params.ap_hw ** 2 * params.kappa * params.omega if params.kappa else 0.0
+    else:
+        raise ValueError(f"unknown model {name!r}; choose from {MODELS}")
     rates = -1j * (levels[:, None] - levels[None, :])
+    levels.setflags(write=False)
     rates.setflags(write=False)
-    return rates
+    return Model(levels, rates, op, c, params.gamma_dimless, g, kappa, tau, params)
 
 
 def h_rwa(dim: int, beta_bar: float, ap_hw: float) -> np.ndarray:
@@ -267,41 +283,15 @@ def damping_rhs(rho: np.ndarray, gamma_dimless: float) -> np.ndarray:
     return gamma_dimless * (a @ rho @ a.conj().T - anti)
 
 
-def _with_damping(out: np.ndarray, rho: np.ndarray, params: ModelParams) -> np.ndarray:
-    """Add amplitude damping last, so each generator rounds as its terms' sum."""
-    if params.gamma:
-        out += damping_rhs(rho, params.gamma_dimless)
+def _lindblad_rhs(rho: np.ndarray, m: Model) -> np.ndarray:
+    """R * rho - c [A, [A, rho]] plus damping, which is added last so that the
+    generator rounds as its terms' sum."""
+    out = m.rates * rho
+    if m.c:
+        out -= _double_commutator(m.op, rho, m.c)
+    if m.gamma:
+        out += damping_rhs(rho, m.gamma)
     return out
-
-
-def gup_markov_form(params: ModelParams, dim: int) -> tuple[np.ndarray, np.ndarray, float]:
-    """(R, A, c) of the Markovian deformed-commutator model: the phase rates
-    R_ab = -i (E_a - E_b) of the RWA levels, A = K² (real, read-only) and
-    c = 1/(omega tau_G).
-
-    ``gup_markov_rhs`` is R * rho - c [A, [A, rho]] plus damping.
-    """
-    return (_rwa_phase_rates(dim, params.beta_bar, params.ap_hw), _k2_real(dim),
-            params.gup_rate_dimless)
-
-
-def breuer_form(params: ModelParams, dim: int) -> tuple[np.ndarray, np.ndarray, float]:
-    """(R, A, c) of the metric-fluctuation model: the phase rates of the
-    harmonic levels n, A = K (real, read-only) and
-    c = tau_c omega / 2 = 1/(2 omega tau_D).
-
-    ``breuer_rhs`` is R * rho - c [A, [A, rho]] plus damping.
-    """
-    return _rwa_phase_rates(dim, 0.0, 0.0), _k_op(dim), params.breuer_rate_dimless
-
-
-def _lindblad_rhs(rho: np.ndarray, form: tuple, params: ModelParams) -> np.ndarray:
-    """R * rho - c [A, [A, rho]] plus damping, for a model's form (R, A, c)."""
-    rates, op, c = form
-    out = rates * rho
-    if c:
-        out -= _double_commutator(op, rho, c)
-    return _with_damping(out, rho, params)
 
 
 def gup_markov_rhs(rho: np.ndarray, params: ModelParams) -> np.ndarray:
@@ -313,7 +303,7 @@ def gup_markov_rhs(rho: np.ndarray, params: ModelParams) -> np.ndarray:
     -i (E_a - E_b) rho_ab.  With kappa = 0 this is the damping-only model.
     rho must be Hermitian.
     """
-    return _lindblad_rhs(rho, gup_markov_form(params, rho.shape[0]), params)
+    return _lindblad_rhs(rho, model("gup-markov", params, rho.shape[0]))
 
 
 def breuer_rhs(rho: np.ndarray, params: ModelParams) -> np.ndarray:
@@ -323,7 +313,7 @@ def breuer_rhs(rho: np.ndarray, params: ModelParams) -> np.ndarray:
                          + damping at params.gamma.
     rho must be Hermitian.
     """
-    return _lindblad_rhs(rho, breuer_form(params, rho.shape[0]), params)
+    return _lindblad_rhs(rho, model("breuer", params, rho.shape[0]))
 
 
 def heisenberg_k2(h_prime: np.ndarray, s: float) -> np.ndarray:
@@ -349,20 +339,21 @@ MEMORY_WINDOW_TAUS = 8.0
 
 
 def memory_operator(t: float, params: ModelParams, dim: int) -> np.ndarray:
-    """Memory integral M(t) = ∫ f(t-t') K²ᴵ(t'-t) dt' in closed form.
+    """Memory integral M(t) = ∫ f(t-t') Aᴵ(t'-t) dt' of the gup description
+    in closed form.
 
     For the exponential kernel and diagonal H_RWA, with Δ_ab = E_a - E_b and
-    z = 1 + iΔτ, M_ab = K²_ab (1 - e^{-z s/τ}) / (2z) over the last
+    z = 1 + iΔτ, M_ab = A_ab (1 - e^{-z s/τ}) / (2z) over the last
     s = min(t, MEMORY_WINDOW_TAUS τ) of the kernel.  Times are dimensionless.
     """
-    if params.kernel.kind != "exponential":
+    m = model("gup-nonmarkov", params, dim)
+    if not m.tau:
         raise KernelRoutingError(
             "memory integral needs an exponential kernel; delta kernels route to gup_markov_rhs"
         )
-    tau = params.kernel.tau * params.omega
-    s = min(t, MEMORY_WINDOW_TAUS * tau)
-    z = 1.0 - tau * _rwa_phase_rates(dim, params.beta_bar, params.ap_hw)
-    return _k2_op(dim) * (-np.expm1(-z * (s / tau)) / (2.0 * z))
+    s = min(t, MEMORY_WINDOW_TAUS * m.tau)
+    z = 1.0 - m.tau * m.rates
+    return m.op * (-np.expm1(-z * (s / m.tau)) / (2.0 * z))
 
 
 @lru_cache(maxsize=2)
@@ -384,10 +375,11 @@ def gup_nonmarkov_rhs(rho: np.ndarray, t: float, params: ModelParams) -> np.ndar
     under the integral is rho(t) itself, so no history of rho enters.
     """
     dim = rho.shape[0]
-    out = _rwa_phase_rates(dim, params.beta_bar, params.ap_hw) * rho
-    c = 2.0 * params.gup_rate_dimless
-    if c:
-        m = _memory_operator_at(t, params, dim)
-        k2 = _k2_op(dim)
-        out -= c * _commutator(k2, _commutator(m, rho))
-    return _with_damping(out, rho, params)
+    m = model("gup-nonmarkov", params, dim)
+    out = m.rates * rho
+    if m.c:
+        mem = _memory_operator_at(t, params, dim)
+        out -= 2.0 * m.c * _commutator(m.op, _commutator(mem, rho))
+    if m.gamma:
+        out += damping_rhs(rho, m.gamma)
+    return out

@@ -19,7 +19,7 @@ from scipy.linalg import expm
 
 from . import fock, generators
 from .exceptions import KernelRoutingError, PositivityError, StepSizeError
-from .generators import ModelParams
+from .generators import Model, ModelParams
 
 __all__ = ["EvolutionResult", "evolve", "evolve_nonmarkov", "propagate_blocks",
            "parity_blocks", "observable", "default_dt"]
@@ -211,8 +211,7 @@ def parity_blocks(dim: int, damped: bool) -> list[np.ndarray]:
     return [np.flatnonzero(key == k) for k in np.unique(key)]
 
 
-def _block_liouvillian(idx: np.ndarray, dim: int, rates: np.ndarray,
-                       op: np.ndarray, c: float, gamma: float) -> np.ndarray:
+def _block_liouvillian(idx: np.ndarray, dim: int, model: Model) -> np.ndarray:
     """Rows and columns ``idx`` of the Liouvillian on row-major vec(rho) of
     R * rho - c [A, [A, rho]] + gamma (a rho a† - {N, rho}/2).
 
@@ -226,19 +225,18 @@ def _block_liouvillian(idx: np.ndarray, dim: int, rates: np.ndarray,
 
     # A² in complex arithmetic: OpenBLAS rounds some entries of a real A @ A
     # differently, and the blocks keep the bytes of a complex A
-    op = np.asarray(op, dtype=complex)
-    eye, a, op2 = np.eye(dim), fock.ladder(dim), op @ op
-    return (np.diag(rates.ravel()[idx] - 0.5 * gamma * (m + n))
-            - c * (kron(op2, eye) - 2.0 * kron(op, op) + kron(eye, op2))
+    op = np.asarray(model.op, dtype=complex)
+    eye, a, op2, gamma = np.eye(dim), fock.ladder(dim), op @ op, model.gamma
+    return (np.diag(model.rates.ravel()[idx] - 0.5 * gamma * (m + n))
+            - model.c * (kron(op2, eye) - 2.0 * kron(op, op) + kron(eye, op2))
             + gamma * kron(a, a))
 
 
-def propagate_blocks(rho0: np.ndarray, rates: np.ndarray, op: np.ndarray,
-                     c: float, gamma: float, t_end: float, dt: float = default_dt,
-                     *, sample_every: int = 100, omega: float = 1.0) -> EvolutionResult:
+def propagate_blocks(rho0: np.ndarray, model: Model, t_end: float,
+                     dt: float = default_dt, *, sample_every: int = 100) -> EvolutionResult:
     """Sample exp(L t) rho0 exactly, on ``evolve``'s grid, for the constant
     generator L rho = R * rho - c [A, [A, rho]] + gamma (a rho a† - {N, rho}/2)
-    with R = ``rates`` and A = ``op`` (a form from ``generators``).
+    of a model description from ``generators.model``.
 
     L is never formed whole: each parity block gets one ``expm`` per distinct
     sample interval (at most two), which carries that block's slice of rho
@@ -252,12 +250,12 @@ def propagate_blocks(rho0: np.ndarray, rates: np.ndarray, op: np.ndarray,
     dim = rho0.shape[0]
     flat = np.empty((len(steps), dim * dim), dtype=complex)
     flat[0] = np.asarray(rho0, dtype=complex).ravel()
-    for idx in parity_blocks(dim, damped=bool(gamma)):
-        lv = _block_liouvillian(idx, dim, rates, op, c, gamma)
+    for idx in parity_blocks(dim, damped=bool(model.gamma)):
+        lv = _block_liouvillian(idx, dim, model)
         props = {g: expm(lv * (g * dt)) for g in set(gaps)}
         for i, g in enumerate(gaps, 1):
             flat[i, idx] = props[g] @ flat[i - 1, idx]
-    samples = _Samples(rho0, dt, omega)
+    samples = _Samples(rho0, dt, model.params.omega)
     for step, vec in zip(steps[1:], flat[1:]):
         samples.add(step, vec.reshape(dim, dim))
     return samples.result("exact-blocks")
@@ -272,11 +270,10 @@ def evolve_nonmarkov(rho0: np.ndarray, params: ModelParams, t_end: float,
     exponential kernel and dt at most a tenth of the (dimensionless)
     correlation time.
     """
-    if params.kernel.kind != "exponential":
+    tau = generators.model("gup-nonmarkov", params, rho0.shape[0]).tau
+    if not tau:
         raise KernelRoutingError("evolve_nonmarkov requires an exponential kernel")
-    tau_dimless = params.kernel.tau * params.omega
-    if dt > tau_dimless / 10.0:
-        raise StepSizeError(
-            f"dt={dt:.3g} exceeds tau/10={tau_dimless / 10:.3g}; reduce the step")
+    if dt > tau / 10.0:
+        raise StepSizeError(f"dt={dt:.3g} exceeds tau/10={tau / 10:.3g}; reduce the step")
     return evolve(rho0, lambda rho, t: generators.gup_nonmarkov_rhs(rho, t, params),
                   t_end, dt, sample_every=sample_every, omega=params.omega)

@@ -1,11 +1,12 @@
-"""Stochastic-Schrödinger Monte-Carlo engine for the fluctuating deformation.
+"""Stochastic-Schrödinger Monte-Carlo engine for the fluctuation models.
 
 Each trajectory takes Strang split steps (Strang, SIAM J. Numer. Anal. 5,
-1968) exp(-i H' dt/2) exp(-i 4 ap_hw dW K²) exp(-i H' dt/2), unitary and so
-norm-conserving, with dW drawn from a white or Ornstein-Uhlenbeck deformation
-noise.  With (Λ, V) = eigh(K²), kets are carried as phi = V† exp(-i H' dt/2)
-psi: a step is the phase exp(-i 4 ap_hw dW Λ) and one product with the
-constant W = V† exp(-i H' dt) V, and the half step is undone at samples only.
+1968) exp(-i H' dt/2) exp(-i g dW A) exp(-i H' dt/2), unitary and so
+norm-conserving, with H', A and g from a model description
+(``generators.model``) and dW drawn from its white or Ornstein-Uhlenbeck
+noise.  With (Λ, V) = eigh(A), kets are carried as phi = V† exp(-i H' dt/2)
+psi: a step is the phase exp(-i g dW Λ) and one product with the constant
+W = V† exp(-i H' dt) V, and the half step is undone at samples only.
 Averaged over a white increment the step is exactly exp(L_H dt/2) exp(L_D dt)
 exp(L_H dt/2), a second-order splitting of the master equation that the
 ensemble runs are used to validate.
@@ -22,9 +23,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import generators, integrate
+from . import integrate
 from .exceptions import ResolutionError, UnsupportedCombinationError
-from .generators import ModelParams
+from .generators import Model
 
 __all__ = ["NoisePath", "sample_noise", "evolve_trajectory", "ensemble_average",
            "EnsembleResult"]
@@ -86,7 +87,7 @@ def sample_noise(kind: str, kappa_dimless: float, tau: float, dt: float,
     return NoisePath(dt=dt, increments=inc, kind=kind, tau=tau, seed=seed, stream=stream)
 
 
-def evolve_trajectory(psi0: np.ndarray, params: ModelParams, noise: NoisePath,
+def evolve_trajectory(psi0: np.ndarray, model: Model, noise: NoisePath,
                       *, sample_every: int = 1):
     """Propagate one pure state under a frozen noise realization.
 
@@ -94,30 +95,31 @@ def evolve_trajectory(psi0: np.ndarray, params: ModelParams, noise: NoisePath,
     validated is gamma-independent).  Returns (times, kets) with kets sampled
     every ``sample_every`` steps (always including t=0 and the endpoint).
     """
-    if params.gamma != 0.0:
+    if model.gamma != 0.0:
         raise UnsupportedCombinationError("trajectory mode requires gamma = 0")
     psi0 = np.asarray(psi0, dtype=complex)
     if abs(np.linalg.norm(psi0) - 1.0) > 1e-10:
         raise ValueError("psi0 must be normalized")
     if sample_every < 1:
         raise ValueError("sample_every must be at least 1")
-    times, kets = _run_batch(psi0[None, :], params, noise.increments[None, :],
+    times, kets = _run_batch(psi0[None, :], model, noise.increments[None, :],
                              noise.dt, sample_every)
     return times, kets[:, 0, :]
 
 
-def _run_batch(psis: np.ndarray, params: ModelParams, increments: np.ndarray,
+def _run_batch(psis: np.ndarray, model: Model, increments: np.ndarray,
                dt: float, sample_every: int):
-    dim = psis.shape[1]
-    levels = generators.energy_level(np.arange(dim), params.beta_bar, params.ap_hw)
+    levels = model.levels
     half = np.exp(-0.5j * dt * levels)
-    lam, v = np.linalg.eigh(generators._k2_op(dim))
+    # the eigh of a complex A: for K² that is the array the split step has
+    # always diagonalised, so the trajectories keep their bytes
+    lam, v = np.linalg.eigh(np.asarray(model.op, dtype=complex))
     # Kets are (1, dim) rows of a stack, so every product is its own call: one
     # BLAS product over the batch rounds a one-row batch differently, which
     # would make results depend on the chunking.  As rows, phi = (psi half) V*
     # and a step multiplies by W^T = V^T exp(-i H' dt) V*.
     prop = (v.T * np.exp(-1j * dt * levels)) @ v.conj()
-    phase_rates = -4j * params.ap_hw * lam
+    phase_rates = -1j * model.g * lam
     n_steps = increments.shape[1]
 
     times = [0.0]
@@ -155,36 +157,34 @@ class EnsembleResult:
         integrate._write_csv(path, self.times_omega, self.omega, cols.items())
 
 
-def ensemble_average(psi0: np.ndarray, params: ModelParams, n_traj: int,
+def ensemble_average(psi0: np.ndarray, model: Model, n_traj: int,
                      seed: int, *, dt: float, n_steps: int,
-                     sample_every: int = 1, noise_kind: str = "white",
-                     chunk_size: int = 256) -> EnsembleResult:
-    """Average |psi><psi| over ``n_traj`` independently seeded trajectories.
+                     sample_every: int = 1, chunk_size: int = 256) -> EnsembleResult:
+    """Average |psi><psi| over ``n_traj`` independently seeded trajectories of
+    a model description, each under the description's noise.
 
-    The OU correlation time is taken from the params kernel when
-    ``noise_kind`` is "ornstein-uhlenbeck".  Reduction order is fixed by
-    trajectory index, so the result does not depend on ``chunk_size``.
+    Reduction order is fixed by trajectory index, so the result does not
+    depend on ``chunk_size``.
     """
     if n_traj < 100:
         raise ValueError("ensemble needs at least 100 trajectories")
     if sample_every < 1:
         raise ValueError("sample_every must be at least 1")
-    if params.gamma != 0.0:
+    if model.gamma != 0.0:
         raise UnsupportedCombinationError("ensemble mode requires gamma = 0")
     psi0 = np.asarray(psi0, dtype=complex)
     dim = psi0.shape[0]
-    tau = params.kernel.tau * params.omega if params.kernel.kind == "exponential" else 0.0
 
     sum_rho = None
     sum_sq = None   # elementwise |rho_traj|² accumulator
     for start in range(0, n_traj, chunk_size):
         count = min(chunk_size, n_traj - start)
         inc = np.stack([
-            sample_noise(noise_kind, params.kappa_dimless, tau, dt, n_steps,
+            sample_noise(model.noise, model.kappa, model.tau, dt, n_steps,
                          seed, stream=start + j).increments
             for j in range(count)])
         times, kets = _run_batch(np.broadcast_to(psi0, (count, dim)).copy(),
-                                 params, inc, dt, sample_every)
+                                 model, inc, dt, sample_every)
         rhos = np.einsum("tbi,tbj->tbij", kets, kets.conj())
         if sum_rho is None:
             sum_rho = np.zeros(rhos.shape[0:1] + rhos.shape[2:], dtype=complex)
@@ -199,4 +199,4 @@ def ensemble_average(psi0: np.ndarray, params: ModelParams, n_traj: int,
     var = sum_sq / n_traj - (sum_rho.real / n_traj) ** 2 - (sum_rho.imag / n_traj) ** 2
     stderr = np.sqrt(np.maximum(var, 0.0) / n_traj)
     return EnsembleResult(times_omega=times, mean_states=mean, stderr=stderr,
-                          n_traj=n_traj, omega=params.omega)
+                          n_traj=n_traj, omega=model.params.omega)

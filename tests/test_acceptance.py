@@ -158,9 +158,10 @@ def test_criterion_04_short_time_slopes():
 def test_criterion_05_trajectory_validation():
     start = time.time()
     p = ModelParams.from_dimensionless(omega_tau_g=500.0, beta_bar=1.0)
+    m = generators.model("gup-markov", p, 16)
     psi0 = fock.superposition01(16)
     n_traj = 2000
-    ens = trajectories.ensemble_average(psi0, p, n_traj, seed=20, dt=0.025,
+    ens = trajectories.ensemble_average(psi0, m, n_traj, seed=20, dt=0.025,
                                         n_steps=2000, sample_every=200)
     ref = integrate.evolve(
         fock.density(psi0), lambda r, t: generators.gup_markov_rhs(r, p),
@@ -169,10 +170,10 @@ def test_criterion_05_trajectory_validation():
              for i in range(1, len(ens.times_omega))]
     budget = 3.0 / math.sqrt(n_traj)
 
-    a = trajectories.ensemble_average(psi0, p, 100, seed=20, dt=0.025,
+    a = trajectories.ensemble_average(psi0, m, 100, seed=20, dt=0.025,
                                       n_steps=200, sample_every=100,
                                       chunk_size=32)
-    b = trajectories.ensemble_average(psi0, p, 100, seed=20, dt=0.025,
+    b = trajectories.ensemble_average(psi0, m, 100, seed=20, dt=0.025,
                                       n_steps=200, sample_every=100,
                                       chunk_size=100)
     deterministic = np.array_equal(a.mean_states, b.mean_states)

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from decolab import analytic, cli, estimate, fock, generators, integrate
+from decolab import analytic, cli, estimate, fock, generators, integrate, trajectories
 from decolab.cli import MODELS, RunConfig, main
 from decolab.exceptions import ConfigError
 
@@ -154,7 +154,8 @@ class TestSimulate:
             csv_out=str(tmp_path / "cli.csv"), json_out=str(tmp_path / "s.json"))
         assert main(["simulate", "--config", cfg]) == 0
         params = RunConfig.from_file(cfg).model_params()
-        rates, k2, c = generators.gup_markov_form(params, dim)
+        m = generators.model("gup-markov", params, dim)
+        rates, k2, c = m.rates, m.op, m.c
         comm = lambda a, b: a @ b - b @ a
         ref = integrate.evolve(
             fock.density(fock.superposition01(dim)),
@@ -164,53 +165,102 @@ class TestSimulate:
                                           "im_rho_13"])
         assert (tmp_path / "cli.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
 
-    @pytest.mark.parametrize("limit", [cli.EXACT_BLOCK_LIMIT, 0],
-                             ids=["exact-blocks", "rk4"])
+    @pytest.mark.parametrize("limit,scales", [
+        (cli.EXACT_BLOCK_LIMIT, {"omega_tau_g": 1e-150}),
+        # RK4's step check exits 2 on so large a c, so there the phases overflow
+        (0, {"beta_bar": 1e200, "initial_state": "superposition01"}),
+    ], ids=["exact-blocks", "rk4"])
     @pytest.mark.parametrize("gamma", [0.0, 1e300])
     def test_overflowing_generator_is_exit_3(self, tmp_path, capsys, monkeypatch,
-                                             limit, gamma):
+                                             limit, scales, gamma):
         monkeypatch.setattr(cli, "EXACT_BLOCK_LIMIT", limit)
         cfg = write_config(tmp_path, model="gup-markov", dim=4, ap_hw=1e100,
-                           omega_tau_g=1e-150, gamma_dimless=gamma,
-                           json_out=str(tmp_path / "s.json"))
+                           gamma_dimless=gamma, json_out=str(tmp_path / "s.json"),
+                           **scales)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
             assert main(["simulate", "--config", cfg]) == 3
         err = capsys.readouterr().err
         assert "numeric failure" in err and "Traceback" not in err
 
+    @pytest.mark.parametrize("model,extra,dt,code", [
+        # dt c (a_max - a_min)² = 62.8: RK4 blew up at omega*t = 1
+        ("gup-markov", {}, 0.05, 2),
+        ("gup-nonmarkov", {"kernel": "exponential", "omega_tau_kernel": 2.0}, 0.05, 2),
+        # 0.63 and 1.0: inside the limit of 2.78
+        ("gup-markov", {"omega_tau_g": 5e4, "ap_hw": 1e-3}, 0.05, 0),
+        ("gup-nonmarkov", {"kernel": "exponential", "omega_tau_kernel": 2.0,
+                           "ap_hw": 1.5e-33, "dim": 12}, 0.1, 0),
+    ])
+    def test_rk4_step_past_its_stability_limit_is_exit_2(self, tmp_path, capsys,
+                                                         model, extra, dt, code):
+        kv = {"model": model, "dim": 34, "ap_hw": 0.01, "omega_tau_g": 500.0,
+              "beta_bar": 1.0, "initial_state": "superposition01", "t_end": 1.0,
+              "dt": dt, "sample_every": 10, "json_out": str(tmp_path / "s.json"),
+              **extra}
+        assert main(["simulate", "--config", write_config(tmp_path, **kv)]) == code
+        err = capsys.readouterr().err
+        assert ((f"dt={dt:g}" in err and "2.78" in err) if code else err == "")
+
 
 class TestEnsemble:
     def test_zero_noise_matches_simulate(self, tmp_path):
         sim_csv = tmp_path / "sim.csv"
-        ens_csv = tmp_path / "ens.csv"
-        common = dict(initial_state="superposition01", dim=8, t_end=5.0,
-                      dt=0.05, sample_every=25, beta_bar=1.0)
         cfg_sim = write_config(tmp_path, name="sim.cfg", model="damping-only",
-                               csv_out=str(sim_csv),
-                               json_out=str(tmp_path / "s.json"), **common)
-        cfg_ens = write_config(tmp_path, name="ens.cfg", model="gup-markov",
-                               n_traj=100, csv_out=str(ens_csv),
-                               json_out=str(tmp_path / "e.json"), **common)
+                               initial_state="superposition01", dim=8, t_end=5.0,
+                               dt=0.05, sample_every=25, beta_bar=1.0,
+                               csv_out=str(sim_csv), json_out=str(tmp_path / "s.json"))
         assert main(["simulate", "--config", cfg_sim]) == 0
-        assert main(["ensemble", "--config", cfg_ens]) == 0
+        # `ensemble` rejects a model without noise, so unravel it directly
+        m = generators.model("damping-only", RunConfig.from_file(cfg_sim).model_params(), 8)
+        ens = trajectories.ensemble_average(fock.superposition01(8), m, 100, 0,
+                                            dt=0.05, n_steps=100, sample_every=25)
         sim = np.loadtxt(sim_csv, delimiter=",", skiprows=1)
-        ens = np.loadtxt(ens_csv, delimiter=",", skiprows=1)
-        # ensemble columns interleave stderr; compare abs_rho_01
-        assert np.allclose(sim[:, 3], ens[:, 4], atol=1e-6)
-        stderr = json.loads((tmp_path / "e.json").read_text())["max_stderr"]
+        assert np.allclose(sim[:, 3], np.abs(ens.mean_states[:, 0, 1]), atol=1e-6)
         # no noise: identical trajectories up to the cancellation error of the
         # running-variance accumulator
-        assert stderr < 1e-6
+        assert np.max(ens.stderr) < 1e-6
 
-    @pytest.mark.parametrize("model", ["breuer", "damping-only"])
+    @pytest.mark.parametrize("model", ["damping-only", "gup-markov"])
     def test_model_without_deformation_noise_is_exit_2(self, tmp_path, capsys,
                                                        model):
+        # omega_tau_g is left at inf, so gup-markov has no noise either
         cfg = write_config(tmp_path, model=model, omega_tau_d=50.0, dim=12,
                            initial_state="superposition01", t_end=5.0,
                            n_traj=100)
         assert main(["ensemble", "--config", cfg]) == 2
         assert model in capsys.readouterr().err
+
+    @pytest.mark.parametrize("model,noise_kind,kernel", [
+        ("gup-nonmarkov", "white", "exponential"),
+        ("gup-markov", "white", "exponential"),
+        ("gup-markov", "ornstein-uhlenbeck", "delta"),
+        ("breuer", "ornstein-uhlenbeck", "delta"),
+    ])
+    def test_noise_kind_other_than_the_models_is_exit_2(self, tmp_path, capsys,
+                                                        model, noise_kind, kernel):
+        cfg = write_config(tmp_path, model=model, omega_tau_g=500.0,
+                           omega_tau_d=50.0, kernel=kernel, omega_tau_kernel=2.0,
+                           noise_kind=noise_kind, dim=8, t_end=0.5, dt=0.05)
+        assert main(["ensemble", "--config", cfg]) == 2
+        err = capsys.readouterr().err
+        assert "noise_kind" in err and model in err
+
+    def test_breuer_ensemble_tracks_simulate(self, tmp_path):
+        common = dict(model="breuer", omega_tau_d=50.0, dim=12,
+                      initial_state="superposition01", t_end=10.0, dt=0.05,
+                      sample_every=50, observables="rho_00,rho_11,re_rho_01")
+        for command in ("simulate", "ensemble"):
+            cfg = write_config(tmp_path, name=f"{command}.cfg", n_traj=400,
+                               csv_out=str(tmp_path / f"{command}.csv"),
+                               json_out=str(tmp_path / f"{command}.json"), **common)
+            assert main([command, "--config", cfg]) == 0
+        sim = np.loadtxt(tmp_path / "simulate.csv", delimiter=",", skiprows=1)
+        ens = np.loadtxt(tmp_path / "ensemble.csv", delimiter=",", skiprows=1)
+        # ensemble columns interleave stderr: value i sits at 2 + 2i
+        for i in range(3):
+            assert np.all(np.abs(ens[:, 2 + 2 * i] - sim[:, 2 + i])
+                          <= 6.0 * ens[:, 3 + 2 * i] + 1e-12)
 
 
 class TestFitAndBounds:

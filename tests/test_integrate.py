@@ -96,7 +96,7 @@ class TestEvolve:
 def dense_liouvillian(form, gamma, dim):
     """The whole Liouvillian on row-major vec(rho), from the dense terms:
     X rho Y is X ⊗ Yᵀ."""
-    rates, op, c = form
+    rates, op, c = form.rates, form.op, form.c
     eye, a = np.eye(dim), fock.ladder(dim)
     n = np.diag(np.arange(dim, dtype=float))
     op2 = op @ op
@@ -110,9 +110,7 @@ def constant_form(model, gamma, dim):
     p = ModelParams.from_dimensionless(
         omega_tau_g=50.0 if model == "gup-markov" else math.inf,
         omega_tau_d=30.0, gamma_dimless=gamma, beta_bar=1.0, ap_hw=1e-2)
-    if model == "breuer":
-        return p, generators.breuer_form(p, dim)
-    return p, generators.gup_markov_form(p, dim)
+    return p, generators.model(model, p, dim)
 
 
 def random_density(dim, seed=0):
@@ -130,8 +128,7 @@ class TestPropagateBlocks:
         p, form = constant_form(model, gamma, dim)
         rho0 = random_density(dim)
         # 13 steps sampled every 4: intervals of 0.4 and a last one of 0.1
-        res = integrate.propagate_blocks(rho0, *form, p.gamma_dimless, 1.3, 0.1,
-                                         sample_every=4)
+        res = integrate.propagate_blocks(rho0, form, 1.3, 0.1, sample_every=4)
         assert res.propagator == "exact-blocks"
         lv = dense_liouvillian(form, p.gamma_dimless, dim)
         want = [expm(lv * t) @ rho0.ravel() for t in res.times_omega]
@@ -158,7 +155,7 @@ class TestPropagateBlocks:
     def test_sample_times_equal_rk4(self, t_end, dt, sample_every):
         p, form = constant_form("gup-markov", 0.0, 4)
         rho0 = fock.density(fock.superposition01(4))
-        exact = integrate.propagate_blocks(rho0, *form, 0.0, t_end, dt,
+        exact = integrate.propagate_blocks(rho0, form, t_end, dt,
                                            sample_every=sample_every)
         rk4 = integrate.evolve(rho0, lambda r, t: generators.gup_markov_rhs(r, p),
                                t_end, dt, sample_every=sample_every)
@@ -188,7 +185,7 @@ def reference_rk4(rho0, rhs, n_steps, dt, sample_every):
 def complex_rhs(form, p):
     """R * rho - c [A, [A, rho]] plus damping, with A complex: two complex
     products, X = A rho and Y = A (X - X†), give Y + Y†."""
-    rates, op, c = form
+    rates, op, c = form.rates, form.op, form.c
     a = np.asarray(op, dtype=complex)
 
     def rhs(rho, t):
@@ -204,13 +201,14 @@ def complex_rhs(form, p):
 def complex_nonmarkov_rhs(p, dim):
     """The memory-kernel right-hand side with the memory operator built
     afresh at every call."""
-    rates, k2 = generators.gup_markov_form(p, dim)[0], generators._k2_op(dim)
+    desc = generators.model("gup-nonmarkov", p, dim)
+    rates, k2 = desc.rates, generators._k2_op(dim)
     comm = lambda a, b: a @ b - b @ a
 
     def rhs(rho, t):
         out = rates * rho
         m = generators.memory_operator(t, p, dim)
-        out -= 2.0 * p.gup_rate_dimless * comm(k2, comm(m, rho))
+        out -= 2.0 * desc.c * comm(k2, comm(m, rho))
         return out + generators.damping_rhs(rho, p.gamma_dimless) if p.gamma else out
 
     return rhs
@@ -220,10 +218,10 @@ def rk4_form(model, gamma, dim):
     """(params, form) of a constant model that RK4 at dt = 0.05 resolves."""
     if model == "breuer":
         p = ModelParams.from_dimensionless(omega_tau_d=50.0, gamma_dimless=gamma)
-        return p, generators.breuer_form(p, dim)
+        return p, generators.model(model, p, dim)
     p = ModelParams.from_dimensionless(omega_tau_g=5e4, beta_bar=1.0, ap_hw=1e-3,
                                        gamma_dimless=gamma)
-    return p, generators.gup_markov_form(p, dim)
+    return p, generators.model(model, p, dim)
 
 
 class TestRk4Bytes:
