@@ -1,0 +1,100 @@
+#!/usr/bin/env python3
+"""Byte sweep of the command line's outputs, for comparing two checkouts.
+
+Runs `decolab simulate` and `decolab wigner` over the four models, gamma
+{0, 0.03}, the vacuum, (|0>+|1>)/sqrt(2) and |1>, and each `--dim`, plus the
+white `gup-markov`, OU `gup-nonmarkov` and white `breuer` ensembles at dim 16.
+Every output goes into `--out-dir`; the output paths are dropped from each
+JSON, so two checkouts that compute the same numbers write the same bytes.
+Prints one `<sha256>  <file>` line per output file, sorted by name, and one
+`exit <code>  <run>` line per run that did not exit 0.  Compare two checkouts
+with `diff` on what this prints:
+
+    PYTHONPATH=src python scripts/byte_sweep.py --out-dir sweep > sums.txt
+"""
+
+import argparse
+import contextlib
+import hashlib
+import io
+import json
+import pathlib
+import sys
+
+from decolab.cli import MODELS
+from decolab.cli import main as cli_main
+
+STATES = {"vacuum": "vacuum", "sup01": "superposition01", "fock1": "fock(1)"}
+# RK4's step check admits dt c (a_max - a_min)² = 1.3 for K² at dim 34
+COMMON = {"omega_tau_g": 1e4, "omega_tau_d": 50.0, "beta_bar": 1.0, "ap_hw": 1e-3,
+          "t_end": 20.0, "dt": 0.02, "sample_every": 100,
+          "observables": "rho_00,abs_rho_01,re_rho_01,im_rho_01,rho_11",
+          "grid_halfwidth": 4.0, "grid_points": 41}
+MEMORY = {"kernel": "exponential", "omega_tau_kernel": 2.0}
+ENSEMBLES = {
+    "ens-gup-markov-white": {"model": "gup-markov"},
+    "ens-gup-nonmarkov-ou": {"model": "gup-nonmarkov", "noise_kind": "ornstein-uhlenbeck",
+                             **MEMORY},
+    "ens-breuer-white": {"model": "breuer"},
+}
+ENSEMBLE = {"omega_tau_g": 500.0, "ap_hw": 1.5e-33, "dim": 16,
+            "initial_state": "superposition01", "t_end": 3.0,
+            "dt": 0.025, "sample_every": 20, "n_traj": 256, "seed": 7}
+
+
+def runs(dims):
+    """(name, command, config) of every run of the sweep."""
+    for model in MODELS:
+        for gamma in (0.0, 0.03):
+            for label, state in STATES.items():
+                for dim in dims:
+                    cfg = {**COMMON, "model": model, "gamma_dimless": gamma,
+                           "initial_state": state, "dim": dim}
+                    if model == "gup-nonmarkov":
+                        cfg.update(MEMORY)
+                    for command in ("simulate", "wigner"):
+                        yield f"{command}-{model}-g{gamma:g}-{label}-d{dim}", command, cfg
+    for name, extra in ENSEMBLES.items():
+        yield name, "ensemble", {**COMMON, **ENSEMBLE, **extra}
+
+
+def run(out: pathlib.Path, name: str, command: str, cfg: dict) -> int:
+    """One `decolab` run writing `<name>.csv` and `<name>.json` into out."""
+    cfg = {**cfg, "csv_out": str(out / f"{name}.csv"),
+           "json_out": str(out / f"{name}.json")}
+    path = out / f"{name}.cfg"
+    path.write_text("".join(f"{k} = {v}\n" for k, v in cfg.items()))
+    with contextlib.redirect_stderr(io.StringIO()):
+        code = cli_main([command, "--config", str(path)])
+    path.unlink()
+    js = out / f"{name}.json"
+    if js.exists():
+        data = json.loads(js.read_text())
+        for key in ("csv_out", "json_out"):
+            data["config"].pop(key)
+        js.write_text(json.dumps(data, indent=2, sort_keys=True) + "\n")
+    return code
+
+
+def main() -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--out-dir", default="byte_sweep_out")
+    parser.add_argument("--dim", type=int, nargs="+", default=[12, 24, 34],
+                        help="cutoffs of the simulate and wigner runs")
+    args = parser.parse_args()
+
+    out = pathlib.Path(args.out_dir)
+    out.mkdir(parents=True, exist_ok=True)
+    failed = 0
+    for name, command, cfg in runs(args.dim):
+        code = run(out, name, command, cfg)
+        if code:
+            failed += 1
+            print(f"exit {code}  {name}")
+    for path in sorted(out.iterdir()):
+        print(f"{hashlib.sha256(path.read_bytes()).hexdigest()}  {path.name}")
+    return 1 if failed else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

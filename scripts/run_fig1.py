@@ -32,7 +32,8 @@ def main() -> int:
     out.mkdir(parents=True, exist_ok=True)
     params = generators.ModelParams.from_dimensionless(
         omega_tau_g=args.omega_tau_g, beta_bar=1.0)
-    rhs = lambda rho, t: generators.gup_markov_rhs(rho, params)
+    model = generators.model("gup-markov", params, args.dim)
+    rhs = lambda rho, t: generators.gup_markov_rhs(rho, model)
     tau = args.omega_tau_g
 
     cases = [

@@ -31,12 +31,13 @@ def main() -> int:
     n_steps = int(round(args.t_end / args.dt))
     sample_every = max(1, n_steps // 10)
 
+    model = generators.model("gup-markov", params, args.dim)
     ens = trajectories.ensemble_average(
-        psi0, generators.model("gup-markov", params, args.dim), args.n_traj,
-        args.seed, dt=args.dt, n_steps=n_steps, sample_every=sample_every)
+        psi0, model, args.n_traj, args.seed, dt=args.dt, n_steps=n_steps,
+        sample_every=sample_every)
     ref = integrate.evolve(
         fock.density(psi0),
-        lambda rho, t: generators.gup_markov_rhs(rho, params),
+        lambda rho, t: generators.gup_markov_rhs(rho, model),
         args.t_end, args.dt, sample_every=sample_every)
 
     print(f"n_traj={args.n_traj}, budget 3/sqrt(n) = {3 / np.sqrt(args.n_traj):.4f}")

@@ -278,10 +278,10 @@ def _evolve(cfg: RunConfig, rho0: np.ndarray) -> integrate.EvolutionResult:
                                           sample_every=cfg.sample_every)
     _check_rk4_step(cfg, m)
     if cfg.model == "gup-nonmarkov":
-        return integrate.evolve_nonmarkov(rho0, m.params, cfg.t_end, cfg.dt,
+        return integrate.evolve_nonmarkov(rho0, m, cfg.t_end, cfg.dt,
                                           sample_every=cfg.sample_every)
     rhs = generators.breuer_rhs if cfg.model == "breuer" else generators.gup_markov_rhs
-    return integrate.evolve(rho0, lambda rho, t: rhs(rho, m.params), cfg.t_end,
+    return integrate.evolve(rho0, lambda rho, t: rhs(rho, m), cfg.t_end,
                             cfg.dt, sample_every=cfg.sample_every, omega=cfg.omega)
 
 
@@ -324,13 +324,19 @@ def cmd_ensemble(cfg: RunConfig) -> int:
     result = trajectories.ensemble_average(
         cfg.parse_state(cfg.dim), m, cfg.n_traj, cfg.seed, dt=cfg.dt,
         n_steps=n_steps, sample_every=cfg.sample_every, chunk_size=cfg.chunk_size)
+    observables = cfg.observable_names()
     if cfg.csv_out:
-        result.to_csv(cfg.csv_out, cfg.observable_names())
+        result.to_csv(cfg.csv_out, observables)
+    stderr = {}  # each observable's largest Monte-Carlo standard error
+    for name in observables:
+        _, i, j = integrate._parse_observable(name)
+        stderr[name] = float(np.max(result.stderr[:, i, j]))
     _write_json(cfg.json_out, {
         "command": "ensemble",
         "config": cfg.resolved(),
         "n_traj": result.n_traj,
         "max_stderr": float(np.max(result.stderr)),
+        "stderr": stderr,
     })
     return 0
 
@@ -445,7 +451,11 @@ def main(argv=None) -> int:
         cfg = RunConfig.from_file(args.config)
         handler = {"simulate": cmd_simulate, "ensemble": cmd_ensemble,
                    "analytic": cmd_analytic, "wigner": cmd_wigner}[args.command]
-        return handler(cfg)
+        try:
+            return handler(cfg)
+        except MemoryError:
+            raise ConfigError(f"dim={cfg.dim} needs more memory than this machine "
+                              f"can give; lower dim") from None
     except (ConfigError, FileNotFoundError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

@@ -3,8 +3,9 @@
 All generators work in dimensionless units (hbar = 1, time measured in
 omega*t, energies in hbar*omega).  Physical inputs live in ModelParams and are
 folded into dimensionless coefficients here, in one frozen description per
-model (``model``) that the right-hand sides, the memory operator, the exact
-block propagator and the trajectories all read:
+model (``model``).  The right-hand sides, the memory operator, the exact
+block propagator and the trajectories take that description as an argument,
+so a caller builds it once and no call looks it up again:
 
 * deformed-commutator (double K² commutator) dissipator, Markovian and
   exponential-memory-kernel forms,
@@ -20,7 +21,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -218,6 +219,13 @@ class Model:
         """The noise its trajectories draw: white or ornstein-uhlenbeck."""
         return "white" if self.tau == 0 else "ornstein-uhlenbeck"
 
+    @cached_property
+    def memory_parts(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(z, 2z, A as complex) of the memory operator, with z = 1 - tau R:
+        its parts that do not depend on t, built on first use."""
+        z = 1.0 - self.tau * self.rates
+        return z, 2.0 * z, np.asarray(self.op, dtype=complex)
+
 
 @lru_cache(maxsize=32)
 def model(name: str, params: ModelParams, dim: int) -> Model:
@@ -294,26 +302,27 @@ def _lindblad_rhs(rho: np.ndarray, m: Model) -> np.ndarray:
     return out
 
 
-def gup_markov_rhs(rho: np.ndarray, params: ModelParams) -> np.ndarray:
-    """Markovian deformed-commutator master equation right-hand side.
+def gup_markov_rhs(rho: np.ndarray, model: Model) -> np.ndarray:
+    """Markovian deformed-commutator master equation right-hand side of the
+    ``gup-markov`` (or ``damping-only``) description.
 
     d rho / d(omega t) = -i [H_RWA, rho] - (1/(omega tau_G)) [K², [K², rho]]
-                         + damping at params.gamma.
+                         + damping at model.gamma.
     H_RWA is diagonal, so its commutator is the elementwise product
-    -i (E_a - E_b) rho_ab.  With kappa = 0 this is the damping-only model.
-    rho must be Hermitian.
+    -i (E_a - E_b) rho_ab.  rho must be Hermitian.
     """
-    return _lindblad_rhs(rho, model("gup-markov", params, rho.shape[0]))
+    return _lindblad_rhs(rho, model)
 
 
-def breuer_rhs(rho: np.ndarray, params: ModelParams) -> np.ndarray:
-    """Metric-fluctuation master equation right-hand side.
+def breuer_rhs(rho: np.ndarray, model: Model) -> np.ndarray:
+    """Metric-fluctuation master equation right-hand side of the ``breuer``
+    description.
 
     d rho / d(omega t) = -i [N, rho] - (tau_c omega / 2) [K, [K, rho]]
-                         + damping at params.gamma.
+                         + damping at model.gamma.
     rho must be Hermitian.
     """
-    return _lindblad_rhs(rho, model("breuer", params, rho.shape[0]))
+    return _lindblad_rhs(rho, model)
 
 
 def heisenberg_k2(h_prime: np.ndarray, s: float) -> np.ndarray:
@@ -338,48 +347,47 @@ def heisenberg_k2(h_prime: np.ndarray, s: float) -> np.ndarray:
 MEMORY_WINDOW_TAUS = 8.0
 
 
-def memory_operator(t: float, params: ModelParams, dim: int) -> np.ndarray:
-    """Memory integral M(t) = ∫ f(t-t') Aᴵ(t'-t) dt' of the gup description
-    in closed form.
+def memory_operator(t: float, model: Model) -> np.ndarray:
+    """Memory integral M(t) = ∫ f(t-t') Aᴵ(t'-t) dt' of a gup description with
+    an exponential kernel, in closed form.
 
-    For the exponential kernel and diagonal H_RWA, with Δ_ab = E_a - E_b and
-    z = 1 + iΔτ, M_ab = A_ab (1 - e^{-z s/τ}) / (2z) over the last
+    For diagonal H_RWA, with Δ_ab = E_a - E_b and z = 1 + iΔτ,
+    M_ab = A_ab (1 - e^{-z s/τ}) / (2z) over the last
     s = min(t, MEMORY_WINDOW_TAUS τ) of the kernel.  Times are dimensionless.
     """
-    m = model("gup-nonmarkov", params, dim)
-    if not m.tau:
+    if not model.tau:
         raise KernelRoutingError(
             "memory integral needs an exponential kernel; delta kernels route to gup_markov_rhs"
         )
-    s = min(t, MEMORY_WINDOW_TAUS * m.tau)
-    z = 1.0 - m.tau * m.rates
-    return m.op * (-np.expm1(-z * (s / m.tau)) / (2.0 * z))
+    z, z2, a = model.memory_parts
+    s = min(t, MEMORY_WINDOW_TAUS * model.tau)
+    return a * (-np.expm1(-z * (s / model.tau)) / z2)
 
 
 @lru_cache(maxsize=2)
-def _memory_operator_at(t: float, params: ModelParams, dim: int) -> np.ndarray:
-    """``memory_operator``, read-only and kept for the last two times: RK4's
-    two midpoint stages share theirs."""
-    m = memory_operator(t, params, dim)
+def _memory_operator_at(t: float, model: Model) -> np.ndarray:
+    """``memory_operator``, read-only and kept for the last two (t, model)
+    pairs: RK4's two midpoint stages share theirs."""
+    m = memory_operator(t, model)
     m.setflags(write=False)
     return m
 
 
-def gup_nonmarkov_rhs(rho: np.ndarray, t: float, params: ModelParams) -> np.ndarray:
-    """Memory-kernel deformed-commutator right-hand side (time-convolutionless).
+def gup_nonmarkov_rhs(rho: np.ndarray, t: float, model: Model) -> np.ndarray:
+    """Memory-kernel deformed-commutator right-hand side (time-convolutionless)
+    of the ``gup-nonmarkov`` description.
 
     d rho / d(omega t) = -i [H_RWA, rho]
                          - 2/(omega tau_G) [K², [M(t), rho]]
-                         + damping at params.gamma,
+                         + damping at model.gamma,
     with M(t) the kernel-weighted interaction-picture K² integral.  The state
     under the integral is rho(t) itself, so no history of rho enters.
     """
-    dim = rho.shape[0]
-    m = model("gup-nonmarkov", params, dim)
-    out = m.rates * rho
-    if m.c:
-        mem = _memory_operator_at(t, params, dim)
-        out -= 2.0 * m.c * _commutator(m.op, _commutator(mem, rho))
-    if m.gamma:
-        out += damping_rhs(rho, m.gamma)
+    out = model.rates * rho
+    if model.c:
+        a = model.memory_parts[2]
+        mem = _memory_operator_at(t, model)
+        out -= 2.0 * model.c * _commutator(a, _commutator(mem, rho))
+    if model.gamma:
+        out += damping_rhs(rho, model.gamma)
     return out

@@ -83,7 +83,8 @@ def test_criterion_03_long_time_overlay():
     start = time.time()
     tau_g = 125e3
     p = ModelParams.from_dimensionless(omega_tau_g=tau_g, beta_bar=1.0)
-    rhs = lambda r, t: generators.gup_markov_rhs(r, p)
+    m = generators.model("gup-markov", p, 24)
+    rhs = lambda r, t: generators.gup_markov_rhs(r, m)
     # The reference is the secular solution at a larger cutoff, so the overlay
     # also bounds the truncation error of the dim-24 run.  At this ap_hw the
     # gaps E_{m+1} - E_m differ by less than 1e-30, so the whole
@@ -135,14 +136,16 @@ def test_criterion_04_short_time_slopes():
 
     cases = []
     p = ModelParams.from_dimensionless(omega_tau_g=1e4, beta_bar=1.0)
-    rhs = lambda r, t: generators.gup_markov_rhs(r, p)
+    mg = generators.model("gup-markov", p, 16)
+    rhs = lambda r, t: generators.gup_markov_rhs(r, mg)
     for psi, obs, coef, scale in (
             (fock.fock_state(0, 16), "rho_00", 6 / 8, 1.0),
             (fock.fock_state(1, 16), "rho_11", 45 / 8, 1.0),
             (fock.superposition01(16), "abs_rho_01", 30 / 8, 0.5)):
         cases.append(("gup", coef, measured(rhs, psi, obs, 1e-4, scale)))
     pb = ModelParams.from_dimensionless(omega_tau_d=1e5)
-    rhs_b = lambda r, t: generators.breuer_rhs(r, pb)
+    mb = generators.model("breuer", pb, 16)
+    rhs_b = lambda r, t: generators.breuer_rhs(r, mb)
     for psi, obs, coef, scale in (
             (fock.fock_state(0, 16), "rho_00", 1 / 8, 1.0),
             (fock.fock_state(1, 16), "rho_11", 3 / 8, 1.0),
@@ -164,7 +167,7 @@ def test_criterion_05_trajectory_validation():
     ens = trajectories.ensemble_average(psi0, m, n_traj, seed=20, dt=0.025,
                                         n_steps=2000, sample_every=200)
     ref = integrate.evolve(
-        fock.density(psi0), lambda r, t: generators.gup_markov_rhs(r, p),
+        fock.density(psi0), lambda r, t: generators.gup_markov_rhs(r, m),
         50.0, 0.025, sample_every=200)
     dists = [fock.trace_distance(ens.mean_states[i], ref.states[i])
              for i in range(1, len(ens.times_omega))]

@@ -167,7 +167,8 @@ class TestPerturbativeCurves:
     def test_short_time_against_master_equation(self):
         tau_g = 1e4
         p = ModelParams.from_dimensionless(omega_tau_g=tau_g, beta_bar=0.0)
-        rhs = lambda r, t: generators.gup_markov_rhs(r, p)
+        m = generators.model("gup-markov", p, 16)
+        rhs = lambda r, t: generators.gup_markov_rhs(r, m)
         res = integrate.evolve(fock.density(fock.superposition01(16)), rhs,
                                100.0, 0.05, sample_every=400)
         coh = np.abs(analytic.gup_coherence01(res.times_omega, 0.0, tau_g))

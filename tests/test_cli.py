@@ -263,6 +263,43 @@ class TestEnsemble:
                           <= 6.0 * ens[:, 3 + 2 * i] + 1e-12)
 
 
+    def test_json_stderr_is_the_largest_of_each_csv_column(self, tmp_path):
+        names = ["rho_00", "abs_rho_01", "im_rho_01", "rho_11"]
+        cfg = write_config(tmp_path, model="gup-markov", omega_tau_g=500.0,
+                           beta_bar=1.0, dim=8, initial_state="superposition01",
+                           t_end=1.0, dt=0.05, sample_every=5, n_traj=100,
+                           observables=",".join(names),
+                           csv_out=str(tmp_path / "e.csv"),
+                           json_out=str(tmp_path / "e.json"))
+        assert main(["ensemble", "--config", cfg]) == 0
+        data = json.loads((tmp_path / "e.json").read_text())
+        header = (tmp_path / "e.csv").read_text().splitlines()[0].split(",")
+        rows = np.loadtxt(tmp_path / "e.csv", delimiter=",", skiprows=1)
+        assert sorted(data["stderr"]) == sorted(names)
+        for name in names:
+            column = rows[:, header.index("stderr_" + name)]
+            assert float(f"{data['stderr'][name]:.12g}") == np.max(column) > 0
+        assert max(data["stderr"].values()) <= data["max_stderr"]
+
+
+class TestOutOfMemory:
+    @pytest.mark.parametrize("command,module,attr", [
+        ("simulate", fock, "density"), ("wigner", fock, "density"),
+        ("ensemble", trajectories, "ensemble_average")],
+        ids=["simulate", "wigner", "ensemble"])
+    def test_memory_error_is_exit_2_naming_dim(self, tmp_path, capsys, monkeypatch,
+                                               command, module, attr):
+        def no_memory(*args, **kwargs):
+            raise MemoryError
+
+        monkeypatch.setattr(module, attr, no_memory)
+        cfg = write_config(tmp_path, model="gup-markov", omega_tau_g=500.0,
+                           dim=9, t_end=1.0, dt=0.05)
+        assert main([command, "--config", cfg]) == 2
+        err = capsys.readouterr().err
+        assert "config error" in err and "dim=9" in err and "Traceback" not in err
+
+
 class TestFitAndBounds:
     def test_fit_round_trip(self, tmp_path):
         truth = {"A": 0.9, "T1": 85.8e-6, "C": 0.05}
@@ -341,7 +378,8 @@ class TestWigner:
         cfg = RunConfig(model="gup-nonmarkov", **common)
         cfg.validate()
         rho = integrate.evolve_nonmarkov(
-            fock.density(fock.fock_state(1, 12)), cfg.model_params(), 20.0,
+            fock.density(fock.fock_state(1, 12)),
+            generators.model("gup-nonmarkov", cfg.model_params(), 12), 20.0,
             0.05).states[-1]
         axis = np.linspace(-3.0, 3.0, 11)
         want = fock.wigner(rho, axis, axis).values.ravel()

@@ -106,8 +106,9 @@ class TestRhs:
     def test_gup_dissipator_traceless_and_hermitian(self, seed):
         rho = random_density(9, seed)
         p = ModelParams.from_dimensionless(omega_tau_g=100.0, beta_bar=1.0)
-        c = generators.model("gup-markov", p, 9).c
-        out = generators.gup_markov_rhs(rho, p)
+        desc = generators.model("gup-markov", p, 9)
+        c = desc.c
+        out = generators.gup_markov_rhs(rho, desc)
         assert abs(np.trace(out)) < 1e-12
         assert np.max(np.abs(out - out.conj().T)) < 1e-12
         # reference: the dense commutator with the RWA Hamiltonian
@@ -118,14 +119,15 @@ class TestRhs:
             k2 = generators._k2_op(dim)
             ref = (-1j * comm(h, rho)
                    - c * comm(k2, comm(k2, rho)))
-            out = generators.gup_markov_rhs(rho, p)
+            out = generators.gup_markov_rhs(rho, generators.model("gup-markov", p, dim))
             assert np.max(np.abs(out - ref)) <= 1e-15 * max(1.0, np.max(np.abs(ref)))
             # the memory-kernel form: -i[H_RWA, rho] - 2/(omega tau_G) [K², [M, rho]]
             p_nm = p.with_kernel(KernelSpec(kind="exponential", tau=0.3))
-            m = generators.memory_operator(2.0, p_nm, dim)
+            desc = generators.model("gup-nonmarkov", p_nm, dim)
+            m = generators.memory_operator(2.0, desc)
             ref = (-1j * comm(h, rho)
                    - 2.0 * c * comm(k2, comm(m, rho)))
-            out = generators.gup_nonmarkov_rhs(rho, 2.0, p_nm)
+            out = generators.gup_nonmarkov_rhs(rho, 2.0, desc)
             assert np.max(np.abs(out - ref)) <= 1e-15 * max(1.0, np.max(np.abs(ref)))
 
     @given(seed=st.integers(0, 100))
@@ -133,8 +135,9 @@ class TestRhs:
     def test_breuer_dissipator_traceless_and_hermitian(self, seed):
         rho = random_density(9, seed)
         p = ModelParams.from_dimensionless(omega_tau_d=50.0)
-        c = generators.model("breuer", p, 9).c
-        out = generators.breuer_rhs(rho, p)
+        desc = generators.model("breuer", p, 9)
+        c = desc.c
+        out = generators.breuer_rhs(rho, desc)
         assert abs(np.trace(out)) < 1e-12
         assert np.max(np.abs(out - out.conj().T)) < 1e-12
         # reference: the dense commutators with N and K
@@ -145,7 +148,7 @@ class TestRhs:
             k = generators._k_op(dim)
             ref = (-1j * comm(n, rho)
                    - c * comm(k, comm(k, rho)))
-            out = generators.breuer_rhs(rho, p)
+            out = generators.breuer_rhs(rho, generators.model("breuer", p, dim))
             assert np.max(np.abs(out - ref)) <= 1e-15 * max(1.0, np.max(np.abs(ref)))
 
     def test_damping_traceless_and_decay_direction(self):
@@ -159,7 +162,7 @@ class TestRhs:
         # coherence rotates at the level splitting
         rho = fock.density(fock.superposition01(6))
         p = ModelParams.from_dimensionless()
-        out = generators.breuer_rhs(rho, p)
+        out = generators.breuer_rhs(rho, generators.model("breuer", p, 6))
         assert out[0, 1] == pytest.approx(1j * rho[0, 1])
 
 
@@ -183,7 +186,7 @@ class TestMemoryKernel:
         p = ModelParams.from_dimensionless(
             omega_tau_g=1e3, beta_bar=1.0,
             kernel=KernelSpec(kind="exponential", tau=0.5))
-        m = generators.memory_operator(10.0, p, dim=8)
+        m = generators.memory_operator(10.0, generators.model("gup-nonmarkov", p, 8))
         assert np.max(np.abs(m - m.conj().T)) < 1e-12
 
     def test_memory_saturates_to_half_k2_diagonal(self):
@@ -191,7 +194,7 @@ class TestMemoryKernel:
         p = ModelParams.from_dimensionless(
             omega_tau_g=1e3, beta_bar=0.0,
             kernel=KernelSpec(kind="exponential", tau=0.05))
-        m = generators.memory_operator(5.0, p, dim=8)
+        m = generators.memory_operator(5.0, generators.model("gup-nonmarkov", p, 8))
         k2 = np.asarray(generators._k2_op(8))
         # the memory window spans 8 tau, leaving an e^-8 tail
         assert np.allclose(np.diag(m), 0.5 * np.diag(k2), rtol=1e-3)
@@ -205,6 +208,7 @@ class TestMemoryKernel:
             kernel=KernelSpec(kind="exponential", tau=tau))
         h = generators.h_rwa(dim, p.beta_bar, p.ap_hw)
         rows, cols = np.nonzero(generators._k2_op(dim))
+        desc = generators.model("gup-nonmarkov", p, dim)
         for t in (0.3, 2.0, 12.0):   # 8τ = 5.6
             lo = max(0.0, t - 8 * tau)
 
@@ -212,20 +216,30 @@ class TestMemoryKernel:
                 f = p.kernel.f_dimless(t - tp, p.omega)
                 return part(f * generators.heisenberg_k2(h, tp - t)[a, b])
 
-            m = generators.memory_operator(t, p, dim)
+            m = generators.memory_operator(t, desc)
             for a, b in zip(rows, cols):
                 want = (quad(integrand, lo, t, args=(a, b, np.real), epsabs=1e-14)[0]
                         + 1j * quad(integrand, lo, t, args=(a, b, np.imag),
                                     epsabs=1e-14)[0])
                 assert abs(m[a, b] - want) < 1e-12
 
+    @pytest.mark.parametrize("t", [0.3, 2.0, 12.0])   # 8τ = 5.6
+    def test_memory_operator_bytes_of_the_closed_form(self, t):
+        p = ModelParams.from_dimensionless(
+            omega_tau_g=1e3, beta_bar=0.9, ap_hw=0.05,
+            kernel=KernelSpec(kind="exponential", tau=0.7))
+        desc = generators.model("gup-nonmarkov", p, 12)
+        z, s = 1.0 - desc.tau * desc.rates, min(t, 8 * desc.tau)
+        want = desc.op * (-np.expm1(-z * (s / desc.tau)) / (2.0 * z))
+        assert generators.memory_operator(t, desc).tobytes() == want.tobytes()
+
     def test_nonmarkov_rhs_approaches_markov_for_short_memory(self):
         p = ModelParams.from_dimensionless(
             omega_tau_g=200.0, beta_bar=1.0,
             kernel=KernelSpec(kind="exponential", tau=1e-3))
         rho = fock.density(fock.superposition01(8))
-        slow = generators.gup_nonmarkov_rhs(rho, 1.0, p)
-        fast = generators.gup_markov_rhs(rho, p)
+        slow = generators.gup_nonmarkov_rhs(rho, 1.0, generators.model("gup-nonmarkov", p, 8))
+        fast = generators.gup_markov_rhs(rho, generators.model("gup-markov", p, 8))
         assert np.max(np.abs(slow - fast)) < 2e-3 * np.max(np.abs(fast))
 
     def test_nonmarkov_dissipator_traceless(self):
@@ -233,5 +247,5 @@ class TestMemoryKernel:
             omega_tau_g=100.0, beta_bar=1.0,
             kernel=KernelSpec(kind="exponential", tau=0.3))
         rho = random_density(8, 3)
-        out = generators.gup_nonmarkov_rhs(rho, 2.0, p)
+        out = generators.gup_nonmarkov_rhs(rho, 2.0, generators.model("gup-nonmarkov", p, 8))
         assert abs(np.trace(out)) < 1e-12

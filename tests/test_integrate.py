@@ -51,20 +51,22 @@ class TestEvolve:
         assert np.max(np.abs(res.expect("rho_11") - expected)) < 1e-8
 
     def test_trace_drift_is_recorded_and_small(self):
-        p = ModelParams.from_dimensionless(omega_tau_g=100.0, beta_bar=1.0)
+        m = generators.model("gup-markov", ModelParams.from_dimensionless(
+            omega_tau_g=100.0, beta_bar=1.0), 10)
         rho0 = fock.density(fock.superposition01(10))
         res = integrate.evolve(
-            rho0, lambda r, t: generators.gup_markov_rhs(r, p),
+            rho0, lambda r, t: generators.gup_markov_rhs(r, m),
             10.0, 0.01, sample_every=100)
         assert np.max(res.trace_drift) < 1e-12
         assert np.max(res.herm_drift) < 1e-10
         assert np.min(res.min_eigenvalue) > -1e-10
 
     def test_positivity_failure_raises_with_step(self):
-        p = ModelParams.from_dimensionless(omega_tau_g=50.0, beta_bar=0.0)
+        m = generators.model("gup-markov", ModelParams.from_dimensionless(
+            omega_tau_g=50.0, beta_bar=0.0), 8)
 
         def antidissipator(r, t):
-            return -generators.gup_markov_rhs(r, p)  # wrong-sign double commutator
+            return -generators.gup_markov_rhs(r, m)  # wrong-sign double commutator
 
         rho0 = fock.density(fock.superposition01(8))
         with pytest.raises(PositivityError) as err:
@@ -157,10 +159,64 @@ class TestPropagateBlocks:
         rho0 = fock.density(fock.superposition01(4))
         exact = integrate.propagate_blocks(rho0, form, t_end, dt,
                                            sample_every=sample_every)
-        rk4 = integrate.evolve(rho0, lambda r, t: generators.gup_markov_rhs(r, p),
+        rk4 = integrate.evolve(rho0, lambda r, t: generators.gup_markov_rhs(r, form),
                                t_end, dt, sample_every=sample_every)
         assert np.array_equal(exact.times_omega, rk4.times_omega)
         assert exact.states.shape == rk4.states.shape
+
+    @pytest.mark.parametrize("gamma", [0.0, 0.05])
+    @pytest.mark.parametrize("model", ["gup-markov", "breuer"])
+    @pytest.mark.parametrize("state,blocks", [
+        ("vacuum", (1, 1)), ("fock(1)", (1, 1)), ("superposition01", (4, 2))])
+    def test_empty_blocks_get_no_expm_and_keep_the_bytes(self, monkeypatch, model,
+                                                         gamma, state, blocks):
+        dim = 8
+        _, form = constant_form(model, gamma, dim)
+        psi = {"vacuum": fock.fock_state(0, dim), "fock(1)": fock.fock_state(1, dim),
+               "superposition01": fock.superposition01(dim)}[state]
+        rho0 = fock.density(psi)
+        calls = []
+
+        def counted(a):
+            calls.append(a.shape)
+            return expm(a)
+
+        monkeypatch.setattr(integrate, "expm", counted)
+        # 13 steps sampled every 4: two distinct intervals, 0.4 and 0.1
+        res = integrate.propagate_blocks(rho0, form, 1.3, 0.1, sample_every=4)
+        assert len(calls) == 2 * blocks[1 if gamma else 0]
+        want = every_block_propagate(rho0, form, 1.3, 0.1, 4)
+        assert res.states.tobytes() == want.states.tobytes()
+        for name in ("trace_drift", "herm_drift", "min_eigenvalue"):
+            assert getattr(res, name).tobytes() == getattr(want, name).tobytes()
+
+
+def every_block_propagate(rho0, form, t_end, dt, sample_every):
+    """``propagate_blocks`` as it was before empty blocks were skipped: every
+    block gets its ``expm``, and each block's matrix builds A², I and a."""
+    steps = integrate._sample_steps(t_end, dt, sample_every)
+    gaps = [b - a for a, b in zip(steps, steps[1:])]
+    dim = rho0.shape[0]
+    flat = np.empty((len(steps), dim * dim), dtype=complex)
+    flat[0] = np.asarray(rho0, dtype=complex).ravel()
+    for idx in integrate.parity_blocks(dim, damped=bool(form.gamma)):
+        m, n = np.divmod(idx, dim)
+
+        def kron(x, y):
+            return x[np.ix_(m, m)] * y[np.ix_(n, n)]
+
+        op = np.asarray(form.op, dtype=complex)
+        eye, a, op2, gamma = np.eye(dim), fock.ladder(dim), op @ op, form.gamma
+        lv = (np.diag(form.rates.ravel()[idx] - 0.5 * gamma * (m + n))
+              - form.c * (kron(op2, eye) - 2.0 * kron(op, op) + kron(eye, op2))
+              + gamma * kron(a, a))
+        props = {g: expm(lv * (g * dt)) for g in set(gaps)}
+        for i, g in enumerate(gaps, 1):
+            flat[i, idx] = props[g] @ flat[i - 1, idx]
+    samples = integrate._Samples(rho0, dt, form.params.omega)
+    for step, vec in zip(steps[1:], flat[1:]):
+        samples.add(step, vec.reshape(dim, dim))
+    return samples.result("exact-blocks")
 
 
 def reference_rk4(rho0, rhs, n_steps, dt, sample_every):
@@ -207,11 +263,15 @@ def complex_nonmarkov_rhs(p, dim):
 
     def rhs(rho, t):
         out = rates * rho
-        m = generators.memory_operator(t, p, dim)
+        m = generators.memory_operator(t, desc)
         out -= 2.0 * desc.c * comm(k2, comm(m, rho))
         return out + generators.damping_rhs(rho, p.gamma_dimless) if p.gamma else out
 
     return rhs
+
+
+def nonmarkov(p, dim):
+    return generators.model("gup-nonmarkov", p, dim)
 
 
 def rk4_form(model, gamma, dim):
@@ -237,7 +297,7 @@ class TestRk4Bytes:
         p, form = rk4_form(model, gamma, dim)
         rhs = generators.breuer_rhs if model == "breuer" else generators.gup_markov_rhs
         rho0 = fock.density(fock.superposition01(dim))
-        res = integrate.evolve(rho0, lambda r, t: rhs(r, p), 20.0, 0.05)
+        res = integrate.evolve(rho0, lambda r, t: rhs(r, form), 20.0, 0.05)
         ref = reference_rk4(rho0, complex_rhs(form, p), 400, 0.05, 100)
         assert np.array_equal(res.states, ref)
 
@@ -247,9 +307,27 @@ class TestRk4Bytes:
             omega_tau_g=500.0, beta_bar=1.0, ap_hw=1e-3, gamma_dimless=gamma,
             kernel=KernelSpec(kind="exponential", tau=2.0))
         rho0 = fock.density(fock.superposition01(12))
-        res = integrate.evolve_nonmarkov(rho0, p, 40.0, 0.1, sample_every=50)
+        res = integrate.evolve_nonmarkov(rho0, nonmarkov(p, 12), 40.0, 0.1,
+                                         sample_every=50)
         ref = reference_rk4(rho0, complex_nonmarkov_rhs(p, 12), 400, 0.1, 50)
         assert np.array_equal(res.states, ref)
+
+    @pytest.mark.parametrize("dim", [12, 24])
+    @pytest.mark.parametrize("gamma", [0.0, 0.03])
+    def test_rhs_of_the_description_equal_the_complex_references(self, dim, gamma):
+        rho = random_density(dim, 5)
+        for model, rhs in (("gup-markov", generators.gup_markov_rhs),
+                           ("breuer", generators.breuer_rhs)):
+            p, form = rk4_form(model, gamma, dim)
+            want = complex_rhs(form, p)(rho, 0.0)
+            assert rhs(rho, form).tobytes() == want.tobytes()
+        p = ModelParams.from_dimensionless(
+            omega_tau_g=500.0, beta_bar=1.0, ap_hw=1e-3, gamma_dimless=gamma,
+            kernel=KernelSpec(kind="exponential", tau=2.0))
+        desc = nonmarkov(p, dim)
+        for t in (0.05, 3.0, 40.0):  # 8 tau = 16
+            want = complex_nonmarkov_rhs(p, dim)(rho, t)
+            assert generators.gup_nonmarkov_rhs(rho, t, desc).tobytes() == want.tobytes()
 
     @pytest.mark.parametrize("model,dim,gamma", [("breuer", 34, 0.0),
                                                  ("gup-markov", 33, 0.03)])
@@ -257,7 +335,7 @@ class TestRk4Bytes:
         p, form = rk4_form(model, gamma, dim)
         rhs = generators.breuer_rhs if model == "breuer" else generators.gup_markov_rhs
         rho0 = fock.density(fock.superposition01(dim))
-        res = integrate.evolve(rho0, lambda r, t: rhs(r, p), 20.0, 0.05)
+        res = integrate.evolve(rho0, lambda r, t: rhs(r, form), 20.0, 0.05)
         ref = reference_rk4(rho0, complex_rhs(form, p), 400, 0.05, 100)
         assert np.max(np.abs(res.states - ref)) < 1e-15
 
@@ -274,20 +352,20 @@ class TestRk4Bytes:
         built = []
         memory_operator = generators.memory_operator
 
-        def counted(t, params, dim):
+        def counted(t, model):
             built.append(t)
-            return memory_operator(t, params, dim)
+            return memory_operator(t, model)
 
         monkeypatch.setattr(generators, "memory_operator", counted)
         generators._memory_operator_at.cache_clear()
-        p = ModelParams.from_dimensionless(
-            omega_tau_g=500.0, kernel=KernelSpec(kind="exponential", tau=2.0))
-        integrate.evolve_nonmarkov(fock.density(fock.superposition01(6)), p, 2.0, 0.1)
+        desc = nonmarkov(ModelParams.from_dimensionless(
+            omega_tau_g=500.0, kernel=KernelSpec(kind="exponential", tau=2.0)), 6)
+        integrate.evolve_nonmarkov(fock.density(fock.superposition01(6)), desc, 2.0, 0.1)
         # 20 steps: the two midpoint stages share a time, so at most 3 per step
         assert 0 < len(built) <= 60 and len(set(built)) == len(built)
-        m = generators._memory_operator_at(built[-1], p, 6)
+        m = generators._memory_operator_at(built[-1], desc)
         assert not m.flags.writeable
-        assert np.array_equal(m, memory_operator(built[-1], p, 6))
+        assert np.array_equal(m, memory_operator(built[-1], desc))
 
 
 class TestNonMarkov:
@@ -295,20 +373,31 @@ class TestNonMarkov:
         p = ModelParams.from_dimensionless(omega_tau_g=100.0)
         rho0 = fock.density(fock.fock_state(0, 6))
         with pytest.raises(KernelRoutingError):
-            integrate.evolve_nonmarkov(rho0, p, 1.0, 0.01)
+            integrate.evolve_nonmarkov(rho0, nonmarkov(p, 6), 1.0, 0.01)
+
+    def test_params_stand_for_their_description(self):
+        p = ModelParams.from_dimensionless(
+            omega_tau_g=500.0, gamma_dimless=0.03,
+            kernel=KernelSpec(kind="exponential", tau=2.0))
+        rho0 = fock.density(fock.superposition01(6))
+        by_params = integrate.evolve_nonmarkov(rho0, p, 2.0, 0.1, sample_every=5)
+        by_model = integrate.evolve_nonmarkov(rho0, nonmarkov(p, 6), 2.0, 0.1,
+                                              sample_every=5)
+        assert by_params.states.tobytes() == by_model.states.tobytes()
 
     def test_step_size_guard(self):
         p = ModelParams.from_dimensionless(
             omega_tau_g=100.0, kernel=KernelSpec(kind="exponential", tau=0.05))
         rho0 = fock.density(fock.fock_state(0, 6))
         with pytest.raises(StepSizeError):
-            integrate.evolve_nonmarkov(rho0, p, 1.0, 0.02)
+            integrate.evolve_nonmarkov(rho0, nonmarkov(p, 6), 1.0, 0.02)
 
     def test_no_noise_keeps_purity(self):
         p = ModelParams.from_dimensionless(
             beta_bar=1.0, kernel=KernelSpec(kind="exponential", tau=0.5))
         rho0 = fock.density(fock.superposition01(8))
-        res = integrate.evolve_nonmarkov(rho0, p, 10.0, 0.02, sample_every=100)
+        res = integrate.evolve_nonmarkov(rho0, nonmarkov(p, 8), 10.0, 0.02,
+                                         sample_every=100)
         purity = np.real(np.trace(res.states[-1] @ res.states[-1]))
         assert purity == pytest.approx(1.0, abs=1e-8)
 
@@ -319,10 +408,11 @@ class TestNonMarkov:
             omega_tau_g=50.0, beta_bar=1.0,
             kernel=KernelSpec(kind="exponential", tau=tau))
         rho0 = fock.density(fock.fock_state(0, 8))
-        res_nm = integrate.evolve_nonmarkov(rho0, p, 1.0, tau / 10,
+        res_nm = integrate.evolve_nonmarkov(rho0, nonmarkov(p, 8), 1.0, tau / 10,
                                             sample_every=5000)
+        m = generators.model("gup-markov", p, 8)
         res_m = integrate.evolve(
-            rho0, lambda r, t: generators.gup_markov_rhs(r, p),
+            rho0, lambda r, t: generators.gup_markov_rhs(r, m),
             1.0, 0.005, sample_every=100)
         p00_nm = res_nm.expect("rho_00")[-1]
         p00_m = res_m.expect("rho_00")[-1]
@@ -336,7 +426,8 @@ class TestNonMarkov:
             p = ModelParams.from_dimensionless(
                 omega_tau_g=300.0, beta_bar=1.0,
                 kernel=KernelSpec(kind="exponential", tau=tau))
-            res = integrate.evolve_nonmarkov(rho0, p, 10.0, min(tau / 20, 0.05),
+            res = integrate.evolve_nonmarkov(rho0, nonmarkov(p, 8), 10.0,
+                                             min(tau / 20, 0.05),
                                              sample_every=10**9)
             decays.append(0.5 - abs(res.states[-1][0, 1]))
         assert decays[0] > decays[1] > decays[2] > 0

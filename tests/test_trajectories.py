@@ -259,7 +259,7 @@ class TestEnsemble:
                                             n_steps=400, sample_every=100)
         ref = integrate.evolve(
             fock.density(psi0),
-            lambda r, t: generators.gup_markov_rhs(r, self.p),
+            lambda r, t: generators.gup_markov_rhs(r, gup(self.p, 10)),
             20.0, 0.05, sample_every=100)
         assert np.allclose(ens.times_omega, ref.times_omega)
         dists = [fock.trace_distance(ens.mean_states[i], ref.states[i])
