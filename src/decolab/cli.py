@@ -278,7 +278,7 @@ def _evolve(cfg: RunConfig, rho0: np.ndarray) -> integrate.EvolutionResult:
                                           sample_every=cfg.sample_every)
     _check_rk4_step(cfg, m)
     if cfg.model == "gup-nonmarkov":
-        return integrate.evolve_nonmarkov(rho0, m, cfg.t_end, cfg.dt,
+        return integrate.evolve_nonmarkov(rho0, m.params, cfg.t_end, cfg.dt,
                                           sample_every=cfg.sample_every)
     rhs = generators.breuer_rhs if cfg.model == "breuer" else generators.gup_markov_rhs
     return integrate.evolve(rho0, lambda rho, t: rhs(rho, m), cfg.t_end,
@@ -327,16 +327,14 @@ def cmd_ensemble(cfg: RunConfig) -> int:
     observables = cfg.observable_names()
     if cfg.csv_out:
         result.to_csv(cfg.csv_out, observables)
-    stderr = {}  # each observable's largest Monte-Carlo standard error
-    for name in observables:
-        _, i, j = integrate._parse_observable(name)
-        stderr[name] = float(np.max(result.stderr[:, i, j]))
     _write_json(cfg.json_out, {
         "command": "ensemble",
         "config": cfg.resolved(),
         "n_traj": result.n_traj,
         "max_stderr": float(np.max(result.stderr)),
-        "stderr": stderr,
+        # each observable's largest Monte-Carlo standard error
+        "stderr": {name: float(np.max(result.observable_stderr(name)))
+                   for name in observables},
     })
     return 0
 
@@ -437,6 +435,20 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _memory_sizes(cfg: RunConfig, command: str) -> str:
+    """The sizes of a config that set how much memory its command takes."""
+    n_steps = max(1, int(round(cfg.t_end / cfg.dt)))
+    sizes = [f"{-(-n_steps // cfg.sample_every) + 1} samples "
+             f"(t_end / (dt sample_every))"]
+    if command != "analytic":
+        sizes.insert(0, f"dim={cfg.dim}")
+    if command == "ensemble":
+        sizes.append(f"chunk_size={cfg.chunk_size}")
+    if command == "wigner":
+        sizes.append(f"grid_points={cfg.grid_points}")
+    return ", ".join(sizes)
+
+
 def main(argv=None) -> int:
     parser = _build_parser()
     try:
@@ -454,8 +466,9 @@ def main(argv=None) -> int:
         try:
             return handler(cfg)
         except MemoryError:
-            raise ConfigError(f"dim={cfg.dim} needs more memory than this machine "
-                              f"can give; lower dim") from None
+            raise ConfigError(f"out of memory for this config "
+                              f"({_memory_sizes(cfg, args.command)}); lower one of "
+                              f"them") from None
     except (ConfigError, FileNotFoundError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

@@ -102,13 +102,9 @@ def _sample_steps(t_end: float, dt: float, sample_every: int) -> list[int]:
     return steps if steps[-1] == n_steps else steps + [n_steps]
 
 
-def _corrected(rho: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """rho re-Hermitized ((rho+rho†)/2) and renormalized to unit trace, in
-    ``out`` when given (it must not overlap rho)."""
-    if out is None:
-        h = rho + rho.conj().T
-    else:
-        h = np.add(rho, np.conjugate(rho.T, out=out), out=out)
+def _corrected(rho: np.ndarray) -> np.ndarray:
+    """rho re-Hermitized ((rho+rho†)/2) and renormalized to unit trace."""
+    h = rho + rho.conj().T
     h *= 0.5
     h /= np.real(np.trace(h))
     return h
@@ -180,8 +176,6 @@ def evolve(rho0: np.ndarray, rhs: Callable[[np.ndarray, float], np.ndarray],
     rho = np.array(rho0, dtype=complex)
     samples = _Samples(rho, dt, omega)
     half, sixth = 0.5 * dt, dt / 6.0
-    # holds 2 k3, then the next rho's correction; the two rho buffers swap
-    scratch = np.empty_like(rho)
     for step in range(steps[-1]):
         t = step * dt
         k1 = rhs(rho, t)
@@ -192,14 +186,15 @@ def evolve(rho0: np.ndarray, rhs: Callable[[np.ndarray, float], np.ndarray],
         # array: the k belong to rhs and may be shared or read-only
         s = np.multiply(2.0, k2, dtype=complex)
         s += k1
-        s += np.multiply(2.0, k3, out=scratch)
+        s += 2.0 * k3
         s += k4
         s *= sixth
         s += rho
+        rho = s
         if step + 1 in sampled:
-            rho = samples.add(step + 1, s)
+            rho = samples.add(step + 1, rho)
         else:
-            rho, scratch = _corrected(s, out=scratch), rho
+            rho = _corrected(rho)
     return samples.result("rk4")
 
 
@@ -216,11 +211,9 @@ def parity_blocks(dim: int, damped: bool) -> list[np.ndarray]:
     return [np.flatnonzero(key == k) for k in np.unique(key)]
 
 
-def _block_liouvillian(idx: np.ndarray, dim: int, model: Model,
-                       ops: tuple[np.ndarray, ...]) -> np.ndarray:
+def _block_liouvillian(idx: np.ndarray, dim: int, model: Model) -> np.ndarray:
     """Rows and columns ``idx`` of the Liouvillian on row-major vec(rho) of
-    R * rho - c [A, [A, rho]] + gamma (a rho a† - {N, rho}/2), from
-    ``ops = (A, A², I, a)``.
+    R * rho - c [A, [A, rho]] + gamma (a rho a† - {N, rho}/2).
 
     X rho Y is X ⊗ Yᵀ on vec(rho); its block is X[m, m'] Yᵀ[n, n'] over the
     pairs (m, n), (m', n') of the block.  A and a are real, A symmetric.
@@ -230,8 +223,10 @@ def _block_liouvillian(idx: np.ndarray, dim: int, model: Model,
     def kron(x, y):
         return x[np.ix_(m, m)] * y[np.ix_(n, n)]
 
-    op, op2, eye, a = ops
-    gamma = model.gamma
+    # A² in complex arithmetic: OpenBLAS rounds some entries of a real A @ A
+    # differently, and the blocks keep the bytes of a complex A
+    op = np.asarray(model.op, dtype=complex)
+    eye, a, op2, gamma = np.eye(dim), fock.ladder(dim), op @ op, model.gamma
     return (np.diag(model.rates.ravel()[idx] - 0.5 * gamma * (m + n))
             - model.c * (kron(op2, eye) - 2.0 * kron(op, op) + kron(eye, op2))
             + gamma * kron(a, a))
@@ -257,14 +252,10 @@ def propagate_blocks(rho0: np.ndarray, model: Model, t_end: float,
     dim = rho0.shape[0]
     flat = np.zeros((len(steps), dim * dim), dtype=complex)
     flat[0] = np.asarray(rho0, dtype=complex).ravel()
-    # A² in complex arithmetic: OpenBLAS rounds some entries of a real A @ A
-    # differently, and the blocks keep the bytes of a complex A
-    op = np.asarray(model.op, dtype=complex)
-    ops = (op, op @ op, np.eye(dim), fock.ladder(dim))
     for idx in parity_blocks(dim, damped=bool(model.gamma)):
         if not flat[0, idx].any():
             continue
-        lv = _block_liouvillian(idx, dim, model, ops)
+        lv = _block_liouvillian(idx, dim, model)
         props = {g: expm(lv * (g * dt)) for g in set(gaps)}
         for i, g in enumerate(gaps, 1):
             flat[i, idx] = props[g] @ flat[i - 1, idx]
@@ -274,23 +265,20 @@ def propagate_blocks(rho0: np.ndarray, model: Model, t_end: float,
     return samples.result("exact-blocks")
 
 
-def evolve_nonmarkov(rho0: np.ndarray, model: Model | ModelParams, t_end: float,
+def evolve_nonmarkov(rho0: np.ndarray, params: ModelParams, t_end: float,
                      dt: float, *, sample_every: int = 100) -> EvolutionResult:
-    """Evolve under the exponential-memory-kernel master equation of a
-    ``gup-nonmarkov`` description, with amplitude damping when its gamma is
-    non-zero.  ModelParams stand for their ``gup-nonmarkov`` description at
-    rho0's cutoff.
+    """Evolve under the exponential-memory-kernel master equation, with
+    amplitude damping when ``params.gamma`` is non-zero.
 
     The memory term is re-evaluated at every RK4 stage time.  Requires an
     exponential kernel and dt at most a tenth of the (dimensionless)
     correlation time.
     """
-    if isinstance(model, ModelParams):
-        model = generators.model("gup-nonmarkov", model, rho0.shape[0])
+    model = generators.model("gup-nonmarkov", params, rho0.shape[0])
     tau = model.tau
     if not tau:
         raise KernelRoutingError("evolve_nonmarkov requires an exponential kernel")
     if dt > tau / 10.0:
         raise StepSizeError(f"dt={dt:.3g} exceeds tau/10={tau / 10:.3g}; reduce the step")
     return evolve(rho0, lambda rho, t: generators.gup_nonmarkov_rhs(rho, t, model),
-                  t_end, dt, sample_every=sample_every, omega=model.params.omega)
+                  t_end, dt, sample_every=sample_every, omega=params.omega)

@@ -145,15 +145,18 @@ class EnsembleResult:
     n_traj: int
     omega: float = 1.0
 
+    def observable_stderr(self, name: str) -> np.ndarray:
+        """An observable's standard error at each sample: the combined Re/Im
+        error of its matrix element (conservative for re_/im_ projections)."""
+        _, a, b = integrate._parse_observable(name)
+        return self.stderr[:, a, b]
+
     def to_csv(self, path, observables) -> None:
         cols = {}
         for name in observables:
             f = integrate.observable(name)
             cols[name] = np.array([f(s) for s in self.mean_states])
-            # stderr of a matrix-element observable: combined Re/Im error of
-            # the underlying element (conservative for re_/im_ projections).
-            _, a, b = integrate._parse_observable(name)
-            cols["stderr_" + name] = self.stderr[:, a, b]
+            cols["stderr_" + name] = self.observable_stderr(name)
         integrate._write_csv(path, self.times_omega, self.omega, cols.items())
 
 

@@ -262,7 +262,6 @@ class TestEnsemble:
             assert np.all(np.abs(ens[:, 2 + 2 * i] - sim[:, 2 + i])
                           <= 6.0 * ens[:, 3 + 2 * i] + 1e-12)
 
-
     def test_json_stderr_is_the_largest_of_each_csv_column(self, tmp_path):
         names = ["rho_00", "abs_rho_01", "im_rho_01", "rho_11"]
         cfg = write_config(tmp_path, model="gup-markov", omega_tau_g=500.0,
@@ -283,21 +282,34 @@ class TestEnsemble:
 
 
 class TestOutOfMemory:
-    @pytest.mark.parametrize("command,module,attr", [
-        ("simulate", fock, "density"), ("wigner", fock, "density"),
-        ("ensemble", trajectories, "ensemble_average")],
-        ids=["simulate", "wigner", "ensemble"])
-    def test_memory_error_is_exit_2_naming_dim(self, tmp_path, capsys, monkeypatch,
-                                               command, module, attr):
+    @staticmethod
+    def run_without_memory(tmp_path, capsys, monkeypatch, command, target, **cfg):
         def no_memory(*args, **kwargs):
             raise MemoryError
 
-        monkeypatch.setattr(module, attr, no_memory)
-        cfg = write_config(tmp_path, model="gup-markov", omega_tau_g=500.0,
-                           dim=9, t_end=1.0, dt=0.05)
-        assert main([command, "--config", cfg]) == 2
+        monkeypatch.setattr(*target, no_memory)
+        path = write_config(tmp_path, model="gup-markov", omega_tau_g=500.0, **cfg)
+        assert main([command, "--config", path]) == 2
         err = capsys.readouterr().err
-        assert "config error" in err and "dim=9" in err and "Traceback" not in err
+        assert "config error: out of memory" in err and "Traceback" not in err
+        return err
+
+    @pytest.mark.parametrize("command,target,size", [
+        ("simulate", (fock, "density"), "21 samples"),
+        ("wigner", (fock, "density"), "grid_points=81"),
+        ("ensemble", (trajectories, "ensemble_average"), "chunk_size=256")],
+        ids=["simulate", "wigner", "ensemble"])
+    def test_memory_error_is_exit_2_naming_the_sizes(self, tmp_path, capsys, monkeypatch,
+                                                     command, target, size):
+        err = self.run_without_memory(tmp_path, capsys, monkeypatch, command, target,
+                                      dim=9, t_end=1.0, dt=0.05, sample_every=1)
+        assert "dim=9" in err and size in err
+
+    def test_analytic_names_its_samples_and_no_dim(self, tmp_path, capsys, monkeypatch):
+        err = self.run_without_memory(tmp_path, capsys, monkeypatch, "analytic",
+                                      (cli, "_closed_forms"), t_end=1.0, dt=0.05,
+                                      sample_every=2)
+        assert "11 samples" in err and "dim=" not in err
 
 
 class TestFitAndBounds:
@@ -378,8 +390,7 @@ class TestWigner:
         cfg = RunConfig(model="gup-nonmarkov", **common)
         cfg.validate()
         rho = integrate.evolve_nonmarkov(
-            fock.density(fock.fock_state(1, 12)),
-            generators.model("gup-nonmarkov", cfg.model_params(), 12), 20.0,
+            fock.density(fock.fock_state(1, 12)), cfg.model_params(), 20.0,
             0.05).states[-1]
         axis = np.linspace(-3.0, 3.0, 11)
         want = fock.wigner(rho, axis, axis).values.ravel()

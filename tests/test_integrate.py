@@ -193,7 +193,7 @@ class TestPropagateBlocks:
 
 def every_block_propagate(rho0, form, t_end, dt, sample_every):
     """``propagate_blocks`` as it was before empty blocks were skipped: every
-    block gets its ``expm``, and each block's matrix builds A², I and a."""
+    block gets its ``expm``."""
     steps = integrate._sample_steps(t_end, dt, sample_every)
     gaps = [b - a for a, b in zip(steps, steps[1:])]
     dim = rho0.shape[0]
@@ -270,10 +270,6 @@ def complex_nonmarkov_rhs(p, dim):
     return rhs
 
 
-def nonmarkov(p, dim):
-    return generators.model("gup-nonmarkov", p, dim)
-
-
 def rk4_form(model, gamma, dim):
     """(params, form) of a constant model that RK4 at dt = 0.05 resolves."""
     if model == "breuer":
@@ -307,8 +303,7 @@ class TestRk4Bytes:
             omega_tau_g=500.0, beta_bar=1.0, ap_hw=1e-3, gamma_dimless=gamma,
             kernel=KernelSpec(kind="exponential", tau=2.0))
         rho0 = fock.density(fock.superposition01(12))
-        res = integrate.evolve_nonmarkov(rho0, nonmarkov(p, 12), 40.0, 0.1,
-                                         sample_every=50)
+        res = integrate.evolve_nonmarkov(rho0, p, 40.0, 0.1, sample_every=50)
         ref = reference_rk4(rho0, complex_nonmarkov_rhs(p, 12), 400, 0.1, 50)
         assert np.array_equal(res.states, ref)
 
@@ -324,7 +319,7 @@ class TestRk4Bytes:
         p = ModelParams.from_dimensionless(
             omega_tau_g=500.0, beta_bar=1.0, ap_hw=1e-3, gamma_dimless=gamma,
             kernel=KernelSpec(kind="exponential", tau=2.0))
-        desc = nonmarkov(p, dim)
+        desc = generators.model("gup-nonmarkov", p, dim)
         for t in (0.05, 3.0, 40.0):  # 8 tau = 16
             want = complex_nonmarkov_rhs(p, dim)(rho, t)
             assert generators.gup_nonmarkov_rhs(rho, t, desc).tobytes() == want.tobytes()
@@ -358,11 +353,12 @@ class TestRk4Bytes:
 
         monkeypatch.setattr(generators, "memory_operator", counted)
         generators._memory_operator_at.cache_clear()
-        desc = nonmarkov(ModelParams.from_dimensionless(
-            omega_tau_g=500.0, kernel=KernelSpec(kind="exponential", tau=2.0)), 6)
-        integrate.evolve_nonmarkov(fock.density(fock.superposition01(6)), desc, 2.0, 0.1)
+        p = ModelParams.from_dimensionless(
+            omega_tau_g=500.0, kernel=KernelSpec(kind="exponential", tau=2.0))
+        integrate.evolve_nonmarkov(fock.density(fock.superposition01(6)), p, 2.0, 0.1)
         # 20 steps: the two midpoint stages share a time, so at most 3 per step
         assert 0 < len(built) <= 60 and len(set(built)) == len(built)
+        desc = generators.model("gup-nonmarkov", p, 6)
         m = generators._memory_operator_at(built[-1], desc)
         assert not m.flags.writeable
         assert np.array_equal(m, memory_operator(built[-1], desc))
@@ -373,31 +369,20 @@ class TestNonMarkov:
         p = ModelParams.from_dimensionless(omega_tau_g=100.0)
         rho0 = fock.density(fock.fock_state(0, 6))
         with pytest.raises(KernelRoutingError):
-            integrate.evolve_nonmarkov(rho0, nonmarkov(p, 6), 1.0, 0.01)
-
-    def test_params_stand_for_their_description(self):
-        p = ModelParams.from_dimensionless(
-            omega_tau_g=500.0, gamma_dimless=0.03,
-            kernel=KernelSpec(kind="exponential", tau=2.0))
-        rho0 = fock.density(fock.superposition01(6))
-        by_params = integrate.evolve_nonmarkov(rho0, p, 2.0, 0.1, sample_every=5)
-        by_model = integrate.evolve_nonmarkov(rho0, nonmarkov(p, 6), 2.0, 0.1,
-                                              sample_every=5)
-        assert by_params.states.tobytes() == by_model.states.tobytes()
+            integrate.evolve_nonmarkov(rho0, p, 1.0, 0.01)
 
     def test_step_size_guard(self):
         p = ModelParams.from_dimensionless(
             omega_tau_g=100.0, kernel=KernelSpec(kind="exponential", tau=0.05))
         rho0 = fock.density(fock.fock_state(0, 6))
         with pytest.raises(StepSizeError):
-            integrate.evolve_nonmarkov(rho0, nonmarkov(p, 6), 1.0, 0.02)
+            integrate.evolve_nonmarkov(rho0, p, 1.0, 0.02)
 
     def test_no_noise_keeps_purity(self):
         p = ModelParams.from_dimensionless(
             beta_bar=1.0, kernel=KernelSpec(kind="exponential", tau=0.5))
         rho0 = fock.density(fock.superposition01(8))
-        res = integrate.evolve_nonmarkov(rho0, nonmarkov(p, 8), 10.0, 0.02,
-                                         sample_every=100)
+        res = integrate.evolve_nonmarkov(rho0, p, 10.0, 0.02, sample_every=100)
         purity = np.real(np.trace(res.states[-1] @ res.states[-1]))
         assert purity == pytest.approx(1.0, abs=1e-8)
 
@@ -408,7 +393,7 @@ class TestNonMarkov:
             omega_tau_g=50.0, beta_bar=1.0,
             kernel=KernelSpec(kind="exponential", tau=tau))
         rho0 = fock.density(fock.fock_state(0, 8))
-        res_nm = integrate.evolve_nonmarkov(rho0, nonmarkov(p, 8), 1.0, tau / 10,
+        res_nm = integrate.evolve_nonmarkov(rho0, p, 1.0, tau / 10,
                                             sample_every=5000)
         m = generators.model("gup-markov", p, 8)
         res_m = integrate.evolve(
@@ -426,8 +411,7 @@ class TestNonMarkov:
             p = ModelParams.from_dimensionless(
                 omega_tau_g=300.0, beta_bar=1.0,
                 kernel=KernelSpec(kind="exponential", tau=tau))
-            res = integrate.evolve_nonmarkov(rho0, nonmarkov(p, 8), 10.0,
-                                             min(tau / 20, 0.05),
+            res = integrate.evolve_nonmarkov(rho0, p, 10.0, min(tau / 20, 0.05),
                                              sample_every=10**9)
             decays.append(0.5 - abs(res.states[-1][0, 1]))
         assert decays[0] > decays[1] > decays[2] > 0
