@@ -3,9 +3,12 @@
 
 Runs `decolab simulate` and `decolab wigner` over the four models, gamma
 {0, 0.03}, the vacuum, (|0>+|1>)/sqrt(2) and |1>, and each `--dim`, plus the
-white `gup-markov`, OU `gup-nonmarkov` and white `breuer` ensembles at dim 16.
-Every output goes into `--out-dir`; the output paths are dropped from each
-JSON, so two checkouts that compute the same numbers write the same bytes.
+white `gup-markov`, OU `gup-nonmarkov` and white `breuer` ensembles at dim 16,
+`decolab fit` of seeded exp and Ramsey traces with and without a sigma
+column, and `decolab bounds` from the paper's inputs with and without the
+ellipticity.  Every output goes into `--out-dir`; the input and output paths
+are dropped from each JSON, so two checkouts that compute the same numbers
+write the same bytes.
 Prints one `<sha256>  <file>` line per output file, sorted by name, and one
 `exit <code>  <run>` line per run that did not exit 0.  Compare two checkouts
 with `diff` on what this prints:
@@ -19,10 +22,12 @@ import hashlib
 import io
 import json
 import pathlib
+import shutil
 import sys
 
 from decolab.cli import MODELS
 from decolab.cli import main as cli_main
+from decolab.estimate import TimeSeriesDataset, synthesize_dataset
 
 STATES = {"vacuum": "vacuum", "sup01": "superposition01", "fock1": "fock(1)"}
 # RK4's step check admits dt c (a_max - a_min)² = 1.3 for K² at dim 34
@@ -42,8 +47,28 @@ ENSEMBLE = {"omega_tau_g": 500.0, "ap_hw": 1.5e-33, "dim": 16,
             "dt": 0.025, "sample_every": 20, "n_traj": 256, "seed": 7}
 
 
-def runs(dims):
-    """(name, command, config) of every run of the sweep."""
+#: truth and time span (s) of the seeded 80-point traces `fit` reads
+FITS = {"exp": ({"A": 1.0, "T1": 85.8e-6, "C": 0.0}, 400e-6),
+        "ramsey": ({"A": 1.0, "T2": 147.3e-6, "f": 6.0e4, "phi": 0.4, "C": 0.0},
+                   300e-6)}
+#: the paper's decay times (us) and ground-state ellipticity
+PAPER = ["--t1-us", "85.8", "--st1-us", "1.5", "--t2-us", "147.3", "--st2-us", "2.6"]
+BOUNDS = {"bounds-paper": PAPER + ["--epsilon", "0.020", "--sigma-epsilon", "0.005"],
+          "bounds-paper-no-epsilon": PAPER}
+
+
+def runs(out: pathlib.Path, dims):
+    """(name, argv) of every run of the sweep; writes the configs and data
+    files the runs read into `out / "inputs"`."""
+    inputs = out / "inputs"
+
+    def configured(name, command, cfg):
+        cfg = {**cfg, "csv_out": str(out / f"{name}.csv"),
+               "json_out": str(out / f"{name}.json")}
+        path = inputs / f"{name}.cfg"
+        path.write_text("".join(f"{k} = {v}\n" for k, v in cfg.items()))
+        return name, [command, "--config", str(path)]
+
     for model in MODELS:
         for gamma in (0.0, 0.03):
             for label, state in STATES.items():
@@ -53,26 +78,33 @@ def runs(dims):
                     if model == "gup-nonmarkov":
                         cfg.update(MEMORY)
                     for command in ("simulate", "wigner"):
-                        yield f"{command}-{model}-g{gamma:g}-{label}-d{dim}", command, cfg
+                        yield configured(f"{command}-{model}-g{gamma:g}-{label}-d{dim}",
+                                         command, cfg)
     for name, extra in ENSEMBLES.items():
-        yield name, "ensemble", {**COMMON, **ENSEMBLE, **extra}
+        yield configured(name, "ensemble", {**COMMON, **ENSEMBLE, **extra})
+    for model, (truth, t_max) in FITS.items():
+        ds = synthesize_dataset(model, truth, 80, 0.02, 7, t_max)
+        for label, sigma in (("sigma", ds.sigma), ("no-sigma", None)):
+            name = f"fit-{model}-{label}"
+            data = inputs / f"{name}.csv"
+            TimeSeriesDataset(t=ds.t, y=ds.y, sigma=sigma).to_csv(data)
+            yield name, ["fit", "--data", str(data), "--fit-model", model,
+                         "--json-out", str(out / f"{name}.json")]
+    for name, flags in BOUNDS.items():
+        yield name, ["bounds", *flags, "--json-out", str(out / f"{name}.json")]
 
 
-def run(out: pathlib.Path, name: str, command: str, cfg: dict) -> int:
-    """One `decolab` run writing `<name>.csv` and `<name>.json` into out."""
-    cfg = {**cfg, "csv_out": str(out / f"{name}.csv"),
-           "json_out": str(out / f"{name}.json")}
-    path = out / f"{name}.cfg"
-    path.write_text("".join(f"{k} = {v}\n" for k, v in cfg.items()))
+def run(out: pathlib.Path, name: str, argv: list) -> int:
+    """One `decolab` run, then the paths dropped from its JSON's config."""
     with contextlib.redirect_stderr(io.StringIO()):
-        code = cli_main([command, "--config", str(path)])
-    path.unlink()
+        code = cli_main(argv)
     js = out / f"{name}.json"
     if js.exists():
         data = json.loads(js.read_text())
-        for key in ("csv_out", "json_out"):
-            data["config"].pop(key)
-        js.write_text(json.dumps(data, indent=2, sort_keys=True) + "\n")
+        if "config" in data:
+            for key in ("csv_out", "json_out", "data"):
+                data["config"].pop(key, None)
+            js.write_text(json.dumps(data, indent=2, sort_keys=True) + "\n")
     return code
 
 
@@ -84,13 +116,14 @@ def main() -> int:
     args = parser.parse_args()
 
     out = pathlib.Path(args.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
+    (out / "inputs").mkdir(parents=True, exist_ok=True)
     failed = 0
-    for name, command, cfg in runs(args.dim):
-        code = run(out, name, command, cfg)
+    for name, argv in runs(out, args.dim):
+        code = run(out, name, argv)
         if code:
             failed += 1
             print(f"exit {code}  {name}")
+    shutil.rmtree(out / "inputs")
     for path in sorted(out.iterdir()):
         print(f"{hashlib.sha256(path.read_bytes()).hexdigest()}  {path.name}")
     return 1 if failed else 0

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import math
 import re
@@ -405,7 +406,10 @@ def cmd_bounds(args) -> int:
     return 0
 
 
+@functools.lru_cache(maxsize=None)
 def _build_parser() -> argparse.ArgumentParser:
+    """The command line's parser, built once per process: ``parse_args``
+    keeps no state between calls."""
     parser = argparse.ArgumentParser(
         prog="decolab",
         description="Spacetime-fluctuation decoherence laboratory")

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
-from scipy.optimize import least_squares
+from scipy.optimize import OptimizeResult, least_squares, leastsq
 
 from .exceptions import (
     ConfigError,
@@ -60,15 +60,15 @@ class TimeSeriesDataset:
         y = np.asarray(self.y, dtype=float)
         if t.shape != y.shape or t.ndim != 1:
             raise ConfigError("t and y must be 1-D arrays of equal length")
-        if np.any(t < 0) or np.any(np.diff(t) <= 0):
-            raise ConfigError("t must be non-negative and strictly increasing")
+        if not (np.all(np.isfinite(t)) and np.all(t >= 0) and np.all(np.diff(t) > 0)):
+            raise ConfigError("t must be finite, non-negative and strictly increasing")
         if not np.all(np.isfinite(y)):
             raise ConfigError("y must be finite")
         object.__setattr__(self, "t", t)
         object.__setattr__(self, "y", y)
         if self.sigma is not None:
             s = np.asarray(self.sigma, dtype=float)
-            if s.shape != t.shape or np.any(s <= 0):
+            if s.shape != t.shape or not np.all(s > 0):  # NaN is not positive
                 raise ConfigError("sigma must be positive and match t in length")
             object.__setattr__(self, "sigma", s)
 
@@ -80,7 +80,16 @@ class TimeSeriesDataset:
             if header[:2] != ["t_us", "y"]:
                 raise ConfigError(f"unexpected CSV header {header!r}")
             rows = [line.strip().split(",") for line in fh if line.strip()]
-        data = np.array(rows, dtype=float)
+        if not rows:
+            raise ConfigError(f"{path}: no data rows after the header")
+        for i, row in enumerate(rows, 1):
+            if len(row) != len(header):
+                raise ConfigError(f"{path}: data row {i} has {len(row)} values, "
+                                  f"the header names {len(header)}")
+        try:
+            data = np.array(rows, dtype=float)
+        except ValueError as exc:
+            raise ConfigError(f"{path}: {exc}") from None
         sigma = data[:, 2] if len(header) > 2 else None
         return cls(t=data[:, 0] * 1e-6, y=data[:, 1], sigma=sigma)
 
@@ -109,6 +118,26 @@ def _safe_exp(arg):
     """exp with the argument clipped so optimizer probes of unphysical decay
     times cannot overflow."""
     return np.exp(np.clip(arg, -500.0, 500.0))
+
+
+def _levenberg_marquardt(fun, jac, x0) -> OptimizeResult:
+    """MINPACK ``lmder`` from x0 with the settings ``least_squares(method="lm",
+    xtol=1e-10, ftol=1e-12, max_nfev=200 len(x0))`` passes it, without that function's wrapper
+    layers: the same x, cost, Jacobian at x and evaluation count, which is
+    all ``_finish_fit`` reads.
+
+    Refuses a starting point whose residuals are not finite, as
+    ``least_squares`` does, but as a FitFailureError.
+    """
+    if not np.all(np.isfinite(fun(x0))):
+        raise FitFailureError("residuals are not finite at the starting point")
+    x, _, info, message, ier = leastsq(fun, x0, Dfun=jac, full_output=True,
+                                       ftol=1e-12, xtol=1e-10, gtol=1e-8,
+                                       maxfev=200 * len(x0), factor=100)
+    f = info["fvec"]
+    return OptimizeResult(x=x, cost=0.5 * np.dot(f, f), jac=jac(x),
+                          nfev=info["nfev"], success=ier in (1, 2, 3, 4),
+                          message=message)
 
 
 def _finish_fit(res, names, n_points):
@@ -163,8 +192,7 @@ def fit_exp_decay(dataset: TimeSeriesDataset) -> FitResult:
         e = _safe_exp(-t / p[1])
         return np.column_stack([w * e, w * p[0] * e * t / p[1] ** 2, w])
 
-    res = least_squares(fun, x0, jac=jac, method="lm", xtol=1e-10, ftol=1e-12,
-                        max_nfev=200 * len(x0))
+    res = _levenberg_marquardt(fun, jac, x0)
     return _finish_fit(res, ["A", "T1", "C"], len(t))
 
 
@@ -211,8 +239,7 @@ def fit_ramsey(dataset: TimeSeriesDataset) -> FitResult:
     best = None
     for phi0 in (0.0, 0.5 * np.pi, np.pi, 1.5 * np.pi):
         x0 = np.array([a0, t20, f0, phi0, c0])
-        res = least_squares(fun, x0, jac=jac, method="lm", xtol=1e-10,
-                            ftol=1e-12, max_nfev=200 * len(x0))
+        res = _levenberg_marquardt(fun, jac, x0)
         if res.success and (best is None or res.cost < best.cost):
             best = res
     if best is None:

@@ -147,12 +147,14 @@ class WignerGrid:
     captured_mass: float   # discrete integral of values over the grid
 
     def to_csv(self, path) -> None:
-        """Write `x,p,w` rows, row-major over the grid."""
+        """Write `x,p,w` rows, row-major over the grid, in one write."""
+        xs = [f"{v:.12g}" for v in self.x.tolist()]
+        ps = [f"{v:.12g}" for v in self.p.tolist()]
+        rows = [f"{xi},{pj},{w:.12g}\n"
+                for xi, row in zip(xs, self.values.tolist())
+                for pj, w in zip(ps, row)]
         with open(path, "w") as fh:
-            fh.write("x,p,w\n")
-            for i, xi in enumerate(self.x):
-                for j, pj in enumerate(self.p):
-                    fh.write(f"{xi:.12g},{pj:.12g},{self.values[i, j]:.12g}\n")
+            fh.write("x,p,w\n" + "".join(rows))
 
 
 def wigner(rho: np.ndarray, x: np.ndarray, p: np.ndarray) -> WignerGrid:

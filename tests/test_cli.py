@@ -332,6 +332,54 @@ class TestFitAndBounds:
         data.write_text("\n".join(rows) + "\n")
         assert main(["fit", "--data", str(data), "--fit-model", "ramsey"]) == 3
 
+    @pytest.mark.parametrize("body, match", [
+        ("", "no data rows"),
+        ("1.0,0.5\n2.0,abc\n", "could not convert"),
+        ("1.0,0.5\n2.0,0.4,0.1\n", "data row 2 has 3 values"),
+        ("".join(f"{i},0.5\n" for i in range(1, 8)) + "nan,0.5\n", "t must be finite"),
+    ], ids=["header-only", "non-numeric", "ragged", "nan-time"])
+    def test_malformed_data_csv_is_exit_2(self, tmp_path, capsys, body, match):
+        data = tmp_path / "bad.csv"
+        data.write_text("t_us,y\n" + body)
+        assert main(["fit", "--data", str(data), "--fit-model", "exp"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and match in err
+
+    def test_nan_sigma_is_exit_2(self, tmp_path, capsys):
+        data = tmp_path / "nan-sigma.csv"
+        rows = [f"{i + 1},{0.9 ** i!r},{'nan' if i == 5 else '0.01'}" for i in range(20)]
+        data.write_text("t_us,y,sigma\n" + "\n".join(rows) + "\n")
+        assert main(["fit", "--data", str(data), "--fit-model", "exp"]) == 2
+        assert "sigma must be positive" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("model", ["exp", "ramsey"])
+    def test_data_near_the_float_limit_is_exit_3(self, tmp_path, capsys, model):
+        data = tmp_path / "huge.csv"
+        rows = [f"{i + 1},{1e308 if i % 2 == 0 else -1e308!r}" for i in range(30)]
+        data.write_text("t_us,y\n" + "\n".join(rows) + "\n")
+        out = tmp_path / "fit.json"
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            code = main(["fit", "--data", str(data), "--fit-model", model,
+                         "--json-out", str(out)])
+        assert code == 3
+        assert capsys.readouterr().err.startswith("numeric failure:")
+        assert not out.exists()  # no parameters, NaN or otherwise
+
+    def test_parser_is_built_once(self):
+        assert cli._build_parser() is cli._build_parser()
+
+    def test_fit_bytes_survive_an_erroring_call_between(self, tmp_path, capsys):
+        truth = {"A": 1.0, "T2": 147.3e-6, "f": 6.0e4, "phi": 0.4, "C": 0.0}
+        data = tmp_path / "ramsey.csv"
+        estimate.synthesize_dataset("ramsey", truth, 80, 0.02, 4, 300e-6).to_csv(data)
+        outs = [tmp_path / "first.json", tmp_path / "second.json"]
+        argv = ["fit", "--data", str(data), "--fit-model", "ramsey", "--json-out"]
+        assert main(argv + [str(outs[0])]) == 0
+        assert main(["bounds", "--t1-us", "85.8", "--t2-us", "x"]) == 2
+        assert main(argv + [str(outs[1])]) == 0
+        assert outs[0].read_bytes() == outs[1].read_bytes()
+
     def test_bounds_anchor_values(self, tmp_path):
         out = tmp_path / "bounds.json"
         assert main(["bounds", "--t1-us", "85.8", "--st1-us", "1.5",

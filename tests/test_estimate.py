@@ -4,6 +4,7 @@ import warnings
 
 import numpy as np
 import pytest
+from scipy.optimize import least_squares
 
 from decolab import estimate, fock
 from decolab.estimate import TimeSeriesDataset
@@ -80,6 +81,26 @@ class TestFits:
         s2 = estimate.fit_exp_decay(
             estimate.synthesize_dataset("exp", truth, 80, 0.02, 5, 400e-6))
         assert s2.sigmas["T1"] == pytest.approx(2 * s1.sigmas["T1"], rel=0.05)
+
+    @staticmethod
+    def least_squares_lm(fun, jac, x0):
+        """The fits' earlier solver call, kept as the reference."""
+        return least_squares(fun, x0, jac=jac, method="lm", xtol=1e-10,
+                             ftol=1e-12, max_nfev=200 * len(x0))
+
+    @pytest.mark.parametrize("model", ["exp", "ramsey"])
+    @pytest.mark.parametrize("noise", [0.0, 0.02])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_results_equal_least_squares_lm(self, monkeypatch, model, noise, seed):
+        truth = {"exp": {"A": 1.0, "T1": 85.8e-6, "C": 0.05},
+                 "ramsey": {"A": 1.0, "T2": 147.3e-6, "f": 6.0e4, "phi": 0.4,
+                            "C": 0.0}}[model]
+        fit = {"exp": estimate.fit_exp_decay, "ramsey": estimate.fit_ramsey}[model]
+        ds = estimate.synthesize_dataset(model, truth, 80, noise, seed,
+                                         {"exp": 400e-6, "ramsey": 300e-6}[model])
+        got = fit(ds)
+        monkeypatch.setattr(estimate, "_levenberg_marquardt", self.least_squares_lm)
+        assert got == fit(ds)
 
     def test_too_few_points_rejected(self):
         ds = TimeSeriesDataset(t=np.array([1e-6, 2e-6, 3e-6, 4e-6]),

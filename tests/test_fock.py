@@ -148,3 +148,21 @@ class TestWigner:
         assert lines[0] == "x,p,w"
         assert len(lines) == 3
         assert float(lines[1].split(",")[2]) == pytest.approx(1 / math.pi)
+
+    @pytest.mark.parametrize("state", ["vacuum", "fock(1)", "fock(3)",
+                                       "superposition01"])
+    def test_csv_bytes_match_a_per_row_writer(self, tmp_path, state):
+        psi = {"vacuum": fock.fock_state(0, 20), "fock(1)": fock.fock_state(1, 20),
+               "fock(3)": fock.fock_state(3, 20),
+               "superposition01": fock.superposition01(20)}[state]
+        axis = np.linspace(-4.0, 4.0, 81)
+        w = fock.wigner(fock.density(psi), axis, axis)
+        path = tmp_path / "w.csv"
+        w.to_csv(path)
+        want = tmp_path / "want.csv"
+        with open(want, "w") as fh:
+            fh.write("x,p,w\n")
+            for i, xi in enumerate(w.x):
+                for j, pj in enumerate(w.p):
+                    fh.write(f"{xi:.12g},{pj:.12g},{w.values[i, j]:.12g}\n")
+        assert path.read_bytes() == want.read_bytes()
