@@ -251,20 +251,21 @@ EXACT_BLOCK_LIMIT = 256
 
 
 #: RK4 is stable on the negative real axis down to h λ = -2.785; the
-#: eigenvalues of c [A, [A, ·]] are c (a_i - a_j)² for the eigenvalues a of A
+#: eigenvalues of c [A, [A, ·]] are c (a_i - a_j)² for the eigenvalues a of A,
+#: and damping's reach gamma (dim - 1)
 RK4_REAL_LIMIT = 2.78
 
 
 def _check_rk4_step(cfg: RunConfig, m: generators.Model) -> None:
     """Exit 2 rather than blow up when dt is past RK4's stability limit for
-    the model's double commutator."""
+    the model's double commutator and damping, whatever the state."""
     a = np.linalg.eigvalsh(m.op)
-    stiffness = m.c * (a[-1] - a[0]) ** 2
+    stiffness = m.c * (a[-1] - a[0]) ** 2 + m.gamma * (cfg.dim - 1)
     if cfg.dt * stiffness > RK4_REAL_LIMIT:
         raise ConfigError(
-            f"dt={cfg.dt:.6g} is past RK4's stability limit: dt c (a_max - a_min)² "
-            f"= {cfg.dt * stiffness:.3g} > {RK4_REAL_LIMIT}; take dt <= "
-            f"{RK4_REAL_LIMIT / stiffness:.3g}")
+            f"dt={cfg.dt:.6g} is past RK4's stability limit: dt (c (a_max - a_min)² "
+            f"+ gamma (dim - 1)) = {cfg.dt * stiffness:.3g} > {RK4_REAL_LIMIT}; "
+            f"take dt <= {RK4_REAL_LIMIT / stiffness:.3g}")
 
 
 def _evolve(cfg: RunConfig, rho0: np.ndarray) -> integrate.EvolutionResult:

@@ -14,7 +14,8 @@ so a caller builds it once and no call looks it up again:
   so that it is the model's whole right-hand side,
 * anharmonic RWA Hamiltonian and its non-RWA variant.
 
-Every dissipator returns a traceless Hermitian derivative for Hermitian input.
+Every right-hand side is R * rho - c [A, [B, rho]] plus damping, with B = A
+or the memory operator, and is traceless and Hermitian for Hermitian input.
 """
 
 from __future__ import annotations
@@ -161,7 +162,7 @@ class ModelParams:
 # -- cached operator builders -----------------------------------------------
 
 def _real(op: np.ndarray) -> np.ndarray:
-    """The real part of an operator whose entries are real, read-only: real
+    """The real part of an array whose entries are real, read-only: real
     products with it take half the flops of complex ones."""
     out = np.ascontiguousarray(op.real)
     out.setflags(write=False)
@@ -185,8 +186,11 @@ def _k2_op(dim: int) -> np.ndarray:
 
 
 @lru_cache(maxsize=32)
-def _ladder(dim: int) -> np.ndarray:
-    return fock.ladder(dim)
+def _damping_factors(dim: int) -> tuple[np.ndarray, np.ndarray]:
+    """(sqrt(n) for n = 1 .. dim-1, (m + n)/2 over the pairs (m, n)): the
+    entries of the ladder a and of {N, .}/2 that damping uses."""
+    n = np.arange(dim, dtype=float)
+    return _real(np.sqrt(n[1:])), _real(0.5 * (n[:, None] + n[None, :]))
 
 
 def energy_level(n, beta_bar: float = 0.0, ap_hw: float = 0.0):
@@ -220,11 +224,11 @@ class Model:
         return "white" if self.tau == 0 else "ornstein-uhlenbeck"
 
     @cached_property
-    def memory_parts(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(z, 2z, A as complex) of the memory operator, with z = 1 - tau R:
-        its parts that do not depend on t, built on first use."""
+    def memory_parts(self) -> tuple[np.ndarray, np.ndarray]:
+        """(z, 2z) of the memory operator, with z = 1 - tau R: its parts that
+        do not depend on t, built on first use."""
         z = 1.0 - self.tau * self.rates
-        return z, 2.0 * z, np.asarray(self.op, dtype=complex)
+        return z, 2.0 * z
 
 
 @lru_cache(maxsize=32)
@@ -263,18 +267,17 @@ def h_full(dim: int, beta_bar: float, ap_hw: float) -> np.ndarray:
             + 4.0 * ap_hw * beta_bar * _k2_op(dim))
 
 
-def _commutator(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    return a @ b - b @ a
-
-
-def _double_commutator(a: np.ndarray, rho: np.ndarray, c: float) -> np.ndarray:
-    """c [A, [A, rho]] for real symmetric A and Hermitian rho, in two products.
-
-    With X = A rho, [A, rho] = X - X† = C; with Y = A C, [A, C] = Y + Y†.
-    Each product is one real product of A with the interleaved (re, im)
-    columns of the complex matrix's float view.
+def _double_commutator(a: np.ndarray, b: np.ndarray, rho: np.ndarray,
+                       c: float) -> np.ndarray:
+    """c [A, [B, rho]] for real symmetric A and Hermitian B and rho, in two
+    products: with X = B rho, [B, rho] = X - X† = C; with Y = A C,
+    [A, C] = Y + Y†, which is Hermitian bit for bit.  A real operator
+    multiplies the interleaved (re, im) columns of the complex matrix's float
+    view, one real product in place of a complex one; B is real when it is A
+    and complex when it is M(t).
     """
-    x = (a @ np.ascontiguousarray(rho, dtype=complex).view(float)).view(complex)
+    rho = np.ascontiguousarray(rho, dtype=complex)
+    x = b @ rho if np.iscomplexobj(b) else (b @ rho.view(float)).view(complex)
     x -= x.conj().T
     y = (a @ x.view(float)).view(complex)
     y += y.conj().T
@@ -283,46 +286,41 @@ def _double_commutator(a: np.ndarray, rho: np.ndarray, c: float) -> np.ndarray:
 
 
 def damping_rhs(rho: np.ndarray, gamma_dimless: float) -> np.ndarray:
-    """Amplitude damping gamma (a rho a† - {N, rho}/2) in dimensionless time."""
-    dim = rho.shape[0]
-    a = _ladder(dim)
-    n = np.arange(dim, dtype=float)
-    anti = 0.5 * (n[:, None] + n[None, :]) * rho
-    return gamma_dimless * (a @ rho @ a.conj().T - anti)
+    """Amplitude damping gamma (a rho a† - {N, rho}/2) in dimensionless time,
+    with (a rho a†)[m, n] = (sqrt(m+1) rho[m+1, n+1]) sqrt(n+1) elementwise,
+    which rounds as the dense product does."""
+    root, half = _damping_factors(rho.shape[0])
+    out = np.zeros_like(rho, dtype=complex)
+    out[:-1, :-1] = (root[:, None] * rho[1:, 1:]) * root
+    out -= half * rho
+    out *= gamma_dimless
+    return out
 
 
-def _lindblad_rhs(rho: np.ndarray, m: Model) -> np.ndarray:
-    """R * rho - c [A, [A, rho]] plus damping, which is added last so that the
-    generator rounds as its terms' sum."""
+def _lindblad_rhs(rho: np.ndarray, m: Model, inner: np.ndarray | None,
+                  c: float) -> np.ndarray:
+    """R * rho - c [A, [B, rho]] plus damping, with B = ``inner``: every
+    model's right-hand side.  Damping is added last so that the generator
+    rounds as its terms' sum."""
     out = m.rates * rho
-    if m.c:
-        out -= _double_commutator(m.op, rho, m.c)
+    if c:
+        out -= _double_commutator(m.op, inner, rho, c)
     if m.gamma:
         out += damping_rhs(rho, m.gamma)
     return out
 
 
 def gup_markov_rhs(rho: np.ndarray, model: Model) -> np.ndarray:
-    """Markovian deformed-commutator master equation right-hand side of the
-    ``gup-markov`` (or ``damping-only``) description.
-
-    d rho / d(omega t) = -i [H_RWA, rho] - (1/(omega tau_G)) [K², [K², rho]]
-                         + damping at model.gamma.
-    H_RWA is diagonal, so its commutator is the elementwise product
-    -i (E_a - E_b) rho_ab.  rho must be Hermitian.
-    """
-    return _lindblad_rhs(rho, model)
+    """Right-hand side of the ``gup-markov`` (or ``damping-only``) description,
+    -i [H_RWA, rho] - (1/(omega tau_G)) [K², [K², rho]] + damping, for
+    Hermitian rho."""
+    return _lindblad_rhs(rho, model, model.op, model.c)
 
 
 def breuer_rhs(rho: np.ndarray, model: Model) -> np.ndarray:
-    """Metric-fluctuation master equation right-hand side of the ``breuer``
-    description.
-
-    d rho / d(omega t) = -i [N, rho] - (tau_c omega / 2) [K, [K, rho]]
-                         + damping at model.gamma.
-    rho must be Hermitian.
-    """
-    return _lindblad_rhs(rho, model)
+    """Right-hand side of the ``breuer`` description,
+    -i [N, rho] - (tau_c omega / 2) [K, [K, rho]] + damping, for Hermitian rho."""
+    return _lindblad_rhs(rho, model, model.op, model.c)
 
 
 def heisenberg_k2(h_prime: np.ndarray, s: float) -> np.ndarray:
@@ -359,9 +357,9 @@ def memory_operator(t: float, model: Model) -> np.ndarray:
         raise KernelRoutingError(
             "memory integral needs an exponential kernel; delta kernels route to gup_markov_rhs"
         )
-    z, z2, a = model.memory_parts
+    z, z2 = model.memory_parts
     s = min(t, MEMORY_WINDOW_TAUS * model.tau)
-    return a * (-np.expm1(-z * (s / model.tau)) / z2)
+    return model.op * (-np.expm1(-z * (s / model.tau)) / z2)
 
 
 @lru_cache(maxsize=2)
@@ -374,20 +372,9 @@ def _memory_operator_at(t: float, model: Model) -> np.ndarray:
 
 
 def gup_nonmarkov_rhs(rho: np.ndarray, t: float, model: Model) -> np.ndarray:
-    """Memory-kernel deformed-commutator right-hand side (time-convolutionless)
-    of the ``gup-nonmarkov`` description.
-
-    d rho / d(omega t) = -i [H_RWA, rho]
-                         - 2/(omega tau_G) [K², [M(t), rho]]
-                         + damping at model.gamma,
-    with M(t) the kernel-weighted interaction-picture K² integral.  The state
-    under the integral is rho(t) itself, so no history of rho enters.
-    """
-    out = model.rates * rho
-    if model.c:
-        a = model.memory_parts[2]
-        mem = _memory_operator_at(t, model)
-        out -= 2.0 * model.c * _commutator(a, _commutator(mem, rho))
-    if model.gamma:
-        out += damping_rhs(rho, model.gamma)
-    return out
+    """Time-convolutionless right-hand side of the ``gup-nonmarkov``
+    description, -i [H_RWA, rho] - (2/(omega tau_G)) [K², [M(t), rho]] + damping,
+    for Hermitian rho.  M(t) is ``memory_operator``; the state under its
+    integral is rho(t) itself, so no history of rho enters."""
+    mem = _memory_operator_at(t, model) if model.c else None
+    return _lindblad_rhs(rho, model, mem, 2.0 * model.c)

@@ -17,7 +17,7 @@ from typing import Callable, Sequence
 import numpy as np
 from scipy.linalg import expm
 
-from . import fock, generators
+from . import generators
 from .exceptions import KernelRoutingError, PositivityError, StepSizeError
 from .generators import Model, ModelParams
 
@@ -226,7 +226,8 @@ def _block_liouvillian(idx: np.ndarray, dim: int, model: Model) -> np.ndarray:
     # A² in complex arithmetic: OpenBLAS rounds some entries of a real A @ A
     # differently, and the blocks keep the bytes of a complex A
     op = np.asarray(model.op, dtype=complex)
-    eye, a, op2, gamma = np.eye(dim), fock.ladder(dim), op @ op, model.gamma
+    a = np.diag(generators._damping_factors(dim)[0], 1)
+    eye, op2, gamma = np.eye(dim), op @ op, model.gamma
     return (np.diag(model.rates.ravel()[idx] - 0.5 * gamma * (m + n))
             - model.c * (kron(op2, eye) - 2.0 * kron(op, op) + kron(eye, op2))
             + gamma * kron(a, a))

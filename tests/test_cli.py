@@ -165,12 +165,14 @@ class TestSimulate:
                                           "im_rho_13"])
         assert (tmp_path / "cli.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
 
-    @pytest.mark.parametrize("limit,scales", [
-        (cli.EXACT_BLOCK_LIMIT, {"omega_tau_g": 1e-150}),
-        # RK4's step check exits 2 on so large a c, so there the phases overflow
-        (0, {"beta_bar": 1e200, "initial_state": "superposition01"}),
-    ], ids=["exact-blocks", "rk4"])
-    @pytest.mark.parametrize("gamma", [0.0, 1e300])
+    @pytest.mark.parametrize("limit,scales,gamma", [
+        (cli.EXACT_BLOCK_LIMIT, {"omega_tau_g": 1e-150}, 0.0),
+        (cli.EXACT_BLOCK_LIMIT, {"omega_tau_g": 1e-150}, 1e300),
+        # RK4's step check exits 2 on so large a c or gamma, so there the
+        # phases overflow, under damping within the step limit
+        (0, {"beta_bar": 1e200, "initial_state": "superposition01"}, 0.0),
+        (0, {"beta_bar": 1e200, "initial_state": "superposition01"}, 10.0),
+    ], ids=["exact-blocks", "exact-blocks-damped", "rk4", "rk4-damped"])
     def test_overflowing_generator_is_exit_3(self, tmp_path, capsys, monkeypatch,
                                              limit, scales, gamma):
         monkeypatch.setattr(cli, "EXACT_BLOCK_LIMIT", limit)
@@ -187,6 +189,9 @@ class TestSimulate:
         # dt c (a_max - a_min)² = 62.8: RK4 blew up at omega*t = 1
         ("gup-markov", {}, 0.05, 2),
         ("gup-nonmarkov", {"kernel": "exponential", "omega_tau_kernel": 2.0}, 0.05, 2),
+        # dt gamma (dim - 1) = 117: RK4 lost positivity at omega*t = 0.5
+        ("damping-only", {"dim": 40, "gamma_dimless": 60.0, "initial_state": "fock(1)"},
+         0.05, 2),
         # 0.63 and 1.0: inside the limit of 2.78
         ("gup-markov", {"omega_tau_g": 5e4, "ap_hw": 1e-3}, 0.05, 0),
         ("gup-nonmarkov", {"kernel": "exponential", "omega_tau_kernel": 2.0,

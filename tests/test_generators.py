@@ -17,6 +17,21 @@ def random_density(dim, seed):
     return rho / np.trace(rho).real
 
 
+def exactly_hermitian(rho):
+    """(rho + rho†)/2, whose (b, a) entry is the conjugate of its (a, b) entry
+    bit for bit."""
+    return 0.5 * (rho + rho.conj().T)
+
+
+def dense_damping(rho, gamma):
+    """gamma (a rho a† - {N, rho}/2) from the dense ladder products."""
+    dim = rho.shape[0]
+    a = fock.ladder(dim)
+    n = np.arange(dim, dtype=float)
+    anti = 0.5 * (n[:, None] + n[None, :]) * rho
+    return gamma * (a @ rho @ a.conj().T - anti)
+
+
 class TestConstantsAndParams:
     def test_planck_combination(self):
         # a_P hbar omega for the 16.2 ug / 5.96 GHz device
@@ -111,6 +126,13 @@ class TestRhs:
         out = generators.gup_markov_rhs(rho, desc)
         assert abs(np.trace(out)) < 1e-12
         assert np.max(np.abs(out - out.conj().T)) < 1e-12
+        # with no damping, the two-product form is Hermitian bit for bit
+        herm = exactly_hermitian(rho)
+        p_nm = p.with_kernel(KernelSpec(kind="exponential", tau=0.3))
+        desc_nm = generators.model("gup-nonmarkov", p_nm, 9)
+        for out in (generators.gup_markov_rhs(herm, desc),
+                    generators.gup_nonmarkov_rhs(herm, 2.0, desc_nm)):
+            assert np.array_equal(out, out.conj().T)
         # reference: the dense commutator with the RWA Hamiltonian
         comm = lambda a, b: a @ b - b @ a
         for dim in (8, 16, 24):
@@ -122,7 +144,6 @@ class TestRhs:
             out = generators.gup_markov_rhs(rho, generators.model("gup-markov", p, dim))
             assert np.max(np.abs(out - ref)) <= 1e-15 * max(1.0, np.max(np.abs(ref)))
             # the memory-kernel form: -i[H_RWA, rho] - 2/(omega tau_G) [K², [M, rho]]
-            p_nm = p.with_kernel(KernelSpec(kind="exponential", tau=0.3))
             desc = generators.model("gup-nonmarkov", p_nm, dim)
             m = generators.memory_operator(2.0, desc)
             ref = (-1j * comm(h, rho)
@@ -140,6 +161,8 @@ class TestRhs:
         out = generators.breuer_rhs(rho, desc)
         assert abs(np.trace(out)) < 1e-12
         assert np.max(np.abs(out - out.conj().T)) < 1e-12
+        out = generators.breuer_rhs(exactly_hermitian(rho), desc)
+        assert np.array_equal(out, out.conj().T)
         # reference: the dense commutators with N and K
         comm = lambda a, b: a @ b - b @ a
         for dim in (8, 16, 40):
@@ -157,6 +180,20 @@ class TestRhs:
         assert abs(np.trace(out)) < 1e-14
         assert out[3, 3].real == pytest.approx(-0.2 * 3)
         assert out[2, 2].real == pytest.approx(0.2 * 3)
+
+    @pytest.mark.parametrize("dim", [3, 12, 17, 34, 40])
+    @pytest.mark.parametrize("gamma", [0.03, 0.2])
+    def test_damping_keeps_the_bytes_of_the_dense_products(self, dim, gamma):
+        rng = np.random.default_rng(dim)
+        rho = random_density(dim, dim)
+        # a stage-like input rho + h k, Hermitian only up to its last bits
+        stage = rho + 0.025 * (rng.normal(size=(dim, dim))
+                               + 1j * rng.normal(size=(dim, dim)))
+        # Fock states hold exact zeros, so the sign of each zero counts
+        fock_states = [fock.density(fock.fock_state(k, dim)) for k in (0, 1, dim - 1)]
+        for r in [rho, stage, fock.density(fock.superposition01(dim))] + fock_states:
+            want = dense_damping(r, gamma)
+            assert generators.damping_rhs(r, gamma).tobytes() == want.tobytes()
 
     def test_breuer_free_phase(self):
         # coherence rotates at the level splitting

@@ -256,7 +256,24 @@ def complex_rhs(form, p):
 
 def complex_nonmarkov_rhs(p, dim):
     """The memory-kernel right-hand side with the memory operator built
-    afresh at every call."""
+    afresh at every call, in the two complex products of ``complex_rhs``:
+    X = M rho and Y = K² (X - X†) give [K², [M, rho]] = Y + Y†."""
+    desc = generators.model("gup-nonmarkov", p, dim)
+    rates, k2 = desc.rates, generators._k2_op(dim)
+
+    def rhs(rho, t):
+        out = rates * rho
+        x = generators.memory_operator(t, desc) @ rho
+        y = k2 @ (x - x.conj().T)
+        out -= 2.0 * desc.c * (y + y.conj().T)
+        return out + generators.damping_rhs(rho, p.gamma_dimless) if p.gamma else out
+
+    return rhs
+
+
+def four_product_nonmarkov_rhs(p, dim):
+    """The memory-kernel right-hand side as the four products of the dense
+    commutators, K² (M rho - rho M) - (M rho - rho M) K²."""
     desc = generators.model("gup-nonmarkov", p, dim)
     rates, k2 = desc.rates, generators._k2_op(dim)
     comm = lambda a, b: a @ b - b @ a
@@ -306,6 +323,10 @@ class TestRk4Bytes:
         res = integrate.evolve_nonmarkov(rho0, p, 40.0, 0.1, sample_every=50)
         ref = reference_rk4(rho0, complex_nonmarkov_rhs(p, 12), 400, 0.1, 50)
         assert np.array_equal(res.states, ref)
+        # with damping the stage states are Hermitian only up to rounding, so
+        # rho M and (M rho)† part in their last bits
+        dense = reference_rk4(rho0, four_product_nonmarkov_rhs(p, 12), 400, 0.1, 50)
+        assert np.max(np.abs(res.states - dense)) <= 1e-15
 
     @pytest.mark.parametrize("dim", [12, 24])
     @pytest.mark.parametrize("gamma", [0.0, 0.03])
