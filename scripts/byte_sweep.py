@@ -2,7 +2,8 @@
 """Byte sweep of the command line's outputs, for comparing two checkouts.
 
 Runs `decolab simulate` and `decolab wigner` over the four models, gamma
-{0, 0.03}, the vacuum, (|0>+|1>)/sqrt(2) and |1>, and each `--dim`, plus the
+{0, 0.03}, the vacuum, (|0>+|1>)/sqrt(2) and |1>, and each `--dim`;
+`decolab analytic` over the four models and both gammas; the
 white `gup-markov`, OU `gup-nonmarkov` and white `breuer` ensembles at dim 16,
 `decolab fit` of seeded exp and Ramsey traces with and without a sigma
 column, and `decolab bounds` from the paper's inputs with and without the
@@ -36,6 +37,8 @@ COMMON = {"omega_tau_g": 1e4, "omega_tau_d": 50.0, "beta_bar": 1.0, "ap_hw": 1e-
           "observables": "rho_00,abs_rho_01,re_rho_01,im_rho_01,rho_11",
           "grid_halfwidth": 4.0, "grid_points": 41}
 MEMORY = {"kernel": "exponential", "omega_tau_kernel": 2.0}
+# t_end is not a whole number of sample strides, so the last row is the end sample
+ANALYTIC = {"t_end": 10.0, "dt": 0.03}
 ENSEMBLES = {
     "ens-gup-markov-white": {"model": "gup-markov"},
     "ens-gup-nonmarkov-ou": {"model": "gup-nonmarkov", "noise_kind": "ornstein-uhlenbeck",
@@ -80,6 +83,10 @@ def runs(out: pathlib.Path, dims):
                     for command in ("simulate", "wigner"):
                         yield configured(f"{command}-{model}-g{gamma:g}-{label}-d{dim}",
                                          command, cfg)
+            cfg = {**COMMON, **ANALYTIC, "model": model, "gamma_dimless": gamma}
+            if model == "gup-nonmarkov":
+                cfg.update(MEMORY)
+            yield configured(f"analytic-{model}-g{gamma:g}", "analytic", cfg)
     for name, extra in ENSEMBLES.items():
         yield configured(name, "ensemble", {**COMMON, **ENSEMBLE, **extra})
     for model, (truth, t_max) in FITS.items():

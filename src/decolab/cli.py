@@ -342,7 +342,8 @@ def cmd_ensemble(cfg: RunConfig) -> int:
 
 
 def cmd_analytic(cfg: RunConfig) -> int:
-    times = np.arange(0.0, cfg.t_end + 0.5 * cfg.dt, cfg.dt * cfg.sample_every)
+    # simulate's sample times, the end sample included
+    times = np.array(integrate._sample_steps(cfg.t_end, cfg.dt, cfg.sample_every)) * cfg.dt
     p00, coh, p11 = _closed_forms(cfg, times)
     if cfg.csv_out:
         with open(cfg.csv_out, "w") as fh:
@@ -396,14 +397,11 @@ def cmd_bounds(args) -> int:
     f_hz = args.f_hz if args.f_hz else prof["f_hz"]
     ap_hw = args.ap_hw if args.ap_hw else prof["ap_hw"]
     x0 = args.x0 if args.x0 else prof["x0_m"]
-    report = est.bounds_report(
+    _write_json(args.json_out, est.bounds_report(
         t1=args.t1_us * 1e-6, sigma_t1=args.st1_us * 1e-6,
         t2=args.t2_us * 1e-6, sigma_t2=args.st2_us * 1e-6,
         omega=2.0 * math.pi * f_hz, ap_hw=ap_hw, x0=x0,
-        epsilon=args.epsilon, sigma_epsilon=args.sigma_epsilon)
-    text = report.to_json(args.json_out or None)
-    if not args.json_out:
-        print(text)
+        epsilon=args.epsilon, sigma_epsilon=args.sigma_epsilon))
     return 0
 
 

@@ -9,13 +9,12 @@ input errors are not assumed independent.
 
 from __future__ import annotations
 
-import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from scipy.optimize import OptimizeResult, least_squares, leastsq
+from scipy.optimize import OptimizeResult, leastsq
 
 from .exceptions import (
     ConfigError,
@@ -36,12 +35,10 @@ __all__ = [
     "kappa_from_tau_g",
     "tau_c_from_tau_d",
     "beta_from_epsilon",
-    "LkBound",
     "lk_from_epsilon",
     "ellipticity_from_wigner",
     "synthesize_dataset",
     "planck_feasibility",
-    "BoundsReport",
     "bounds_report",
     "LK_REFERENCE",
 ]
@@ -121,13 +118,13 @@ def _safe_exp(arg):
 
 
 def _levenberg_marquardt(fun, jac, x0) -> OptimizeResult:
-    """MINPACK ``lmder`` from x0 with the settings ``least_squares(method="lm",
-    xtol=1e-10, ftol=1e-12, max_nfev=200 len(x0))`` passes it, without that function's wrapper
-    layers: the same x, cost, Jacobian at x and evaluation count, which is
-    all ``_finish_fit`` reads.
+    """MINPACK ``lmder`` from x0 at xtol=1e-10, ftol=1e-12 and at most
+    200 len(x0) evaluations, with the other settings scipy's ``method="lm"``
+    front end passes it, but without that front end's wrapper layers.  Returns
+    the x, cost, Jacobian at x and evaluation count that the fits read.
 
-    Refuses a starting point whose residuals are not finite, as
-    ``least_squares`` does, but as a FitFailureError.
+    Refuses a starting point whose residuals are not finite, as that front
+    end does, but as a FitFailureError.
     """
     if not np.all(np.isfinite(fun(x0))):
         raise FitFailureError("residuals are not finite at the starting point")
@@ -140,16 +137,20 @@ def _levenberg_marquardt(fun, jac, x0) -> OptimizeResult:
                           message=message)
 
 
+def _covariance(res, n_points) -> np.ndarray:
+    """Covariance of the estimate: (J^T J)^(-1) scaled by reduced chi^2, the
+    "standard deviation given by the fitting function" convention.  Raises
+    LinAlgError when J^T J is singular."""
+    dof = max(n_points - len(res.x), 1)
+    return np.linalg.inv(res.jac.T @ res.jac) * (2.0 * res.cost / dof)
+
+
 def _finish_fit(res, names, n_points):
     if not res.success:
         raise FitFailureError("least-squares fit did not converge",
                               trace=getattr(res, "message", None))
-    dof = max(n_points - len(names), 1)
-    # covariance of the estimate: (J^T J)^(-1) scaled by reduced chi^2, the
-    # "standard deviation given by the fitting function" convention
-    jtj = res.jac.T @ res.jac
     try:
-        cov = np.linalg.inv(jtj) * (2.0 * res.cost / dof)
+        cov = _covariance(res, n_points)
     except np.linalg.LinAlgError as exc:
         raise FitFailureError("singular curvature matrix at the optimum",
                               trace=str(exc)) from exc
@@ -280,8 +281,10 @@ def _solve_rates(t1, t2, sigma_t1, sigma_t2, coef_t1, coef_coh, model):
     closed form; with tau eliminated, gamma depends only on u = 1/T1 and
     v = 1/T2.
     """
-    if t1 <= 0 or t2 <= 0:
-        raise ConfigError("T1 and T2 must be positive")
+    if not (0 < t1 < math.inf and 0 < t2 < math.inf):
+        raise ConfigError("T1 and T2 must be positive and finite")
+    if not (0 <= sigma_t1 < math.inf and 0 <= sigma_t2 < math.inf):
+        raise ConfigError("the uncertainties of T1 and T2 must be finite and non-negative")
     u, v = 1.0 / t1, 1.0 / t2
     su, sv = sigma_t1 / t1 ** 2, sigma_t2 / t2 ** 2
     # tau = (2 coef_coh - coef_t1) / (2 v - u)
@@ -329,60 +332,61 @@ def solve_rates_breuer(t1: float, t2: float, sigma_t1: float = 0.0,
 def kappa_from_tau_g(tau_g: float, ap_hw: float, omega: float,
                      sigma_tau_g: float = 0.0):
     """Fluctuation time kappa (s) from 1/tau_G = 8 (a_P hbar omega)^2 omega^2 kappa."""
-    if min(tau_g, ap_hw, omega) <= 0:
-        raise ConfigError("tau_g, ap_hw and omega must be positive")
+    if not all(0 < v < math.inf for v in (tau_g, ap_hw, omega)):
+        raise ConfigError("tau_g, ap_hw and omega must be positive and finite")
     kappa = 1.0 / (8.0 * ap_hw ** 2 * omega ** 2 * tau_g)
     return kappa, kappa * sigma_tau_g / tau_g
 
 
 def tau_c_from_tau_d(tau_d: float, omega: float, sigma_tau_d: float = 0.0):
     """Metric-noise correlation time tau_c (s) from 1/tau_D = tau_c omega^2."""
-    if min(tau_d, omega) <= 0:
-        raise ConfigError("tau_d and omega must be positive")
+    if not all(0 < v < math.inf for v in (tau_d, omega)):
+        raise ConfigError("tau_d and omega must be positive and finite")
     tau_c = 1.0 / (tau_d * omega ** 2)
     return tau_c, tau_c * sigma_tau_d / tau_d
 
 
 def beta_from_epsilon(epsilon: float, ap_hw: float, sigma_epsilon: float = 0.0):
     """Mean deformation beta_bar from the ellipticity: epsilon = 6 beta_bar ap_hw."""
-    if epsilon < 0:
-        raise ConfigError("epsilon must be non-negative")
+    if not (0 <= epsilon < math.inf and 0 <= sigma_epsilon < math.inf and 0 < ap_hw < math.inf):
+        raise ConfigError("epsilon and its sigma must be finite and non-negative, ap_hw positive")
     return epsilon / (6.0 * ap_hw), sigma_epsilon / (6.0 * ap_hw)
 
 
-#: independently reported nonlocality-length bound for the same device and
-#: epsilon = 0.020; kept for comparison with the naive mapping, which lands a
-#: factor ~2 lower in epsilon (mapping coefficient unresolved upstream).
+#: independently reported nonlocality-length bound (value, sigma) in m for the
+#: same device and epsilon = 0.020; kept for comparison with the naive mapping,
+#: which lands a factor ~2 lower in epsilon (mapping coefficient unresolved
+#: upstream).
 LK_REFERENCE = (5.9e-20, 0.8e-20)
 
 
-@dataclass(frozen=True)
-class LkBound:
-    """Nonlocality length from l_k = x0 sqrt(epsilon), with the externally
-    reported value for the same ellipticity attached for comparison."""
-
-    value: float
-    sigma: float
-    reference_value: float = LK_REFERENCE[0]
-    reference_sigma: float = LK_REFERENCE[1]
-
-
-def lk_from_epsilon(epsilon: float, x0: float,
-                    sigma_epsilon: float = 0.0) -> LkBound:
+def lk_from_epsilon(epsilon: float, x0: float, sigma_epsilon: float = 0.0):
     """Nonlocality length scale (m) via epsilon = l_k^2 / x0^2."""
-    if epsilon < 0 or x0 <= 0:
-        raise ConfigError("epsilon must be non-negative and x0 positive")
+    if not (0 <= epsilon < math.inf and 0 <= sigma_epsilon < math.inf and 0 < x0 < math.inf):
+        raise ConfigError("epsilon and its sigma must be finite and non-negative, x0 positive")
     value = x0 * math.sqrt(epsilon)
-    sigma = 0.0 if epsilon == 0 else 0.5 * value * sigma_epsilon / epsilon
-    return LkBound(value=value, sigma=sigma)
+    return value, 0.0 if epsilon == 0 else 0.5 * value * sigma_epsilon / epsilon
+
+
+def _ellipticity(a: float, b: float, c: float):
+    """epsilon = 2(r - 1)/(r + 1) for the eigenvalue ratio r = v_max/v_min of
+    a covariance S with S^(-1) = [[a, c], [c, b]], whose ratio r is the same:
+    exactly 2 sqrt((a - b)^2 + 4c^2)/(a + b).  Returns epsilon and its gradient
+    in (a, b, c), which is None where the root is 0 and |.| has none."""
+    root, s = math.hypot(a - b, 2.0 * c), a + b
+    if root == 0.0:
+        return 0.0, None
+    return 2.0 * root / s, 2.0 / s * np.array(
+        [(a - b) / root - root / s, (b - a) / root - root / s, 4.0 * c / root])
 
 
 def ellipticity_from_wigner(grid) -> tuple:
     """Ellipticity epsilon from a 2-D Gaussian fit of a Wigner grid.
 
-    Fits h exp(-(1/2) d^T S^(-1) d) with S^(-1) = [[a, c], [c, b]], takes the
-    eigenvalues (v_max, v_min) of the fitted covariance S, and maps the ratio
-    r = v_max/v_min to epsilon = 2(r - 1)/(r + 1).  Returns (epsilon, sigma).
+    Fits h exp(-(1/2) d^T S^(-1) d) with S^(-1) = [[a, c], [c, b]] and takes
+    epsilon from ``_ellipticity``; sigma is the fit's parameter covariance
+    propagated through its gradient, and 0 on a round fit.  Returns
+    (epsilon, sigma).
     """
     x, p, w = np.asarray(grid.x), np.asarray(grid.p), np.asarray(grid.values)
     xx, pp = np.meshgrid(x, p, indexing="ij")
@@ -400,52 +404,37 @@ def ellipticity_from_wigner(grid) -> tuple:
     if not (0 < det < math.inf and vxx > 0 and vpp > 0):
         raise FitFailureError("moment covariance is not finite and positive definite")
 
-    def unpack(q):
-        h, x0, p0, a, b, c = q
-        return h, x0, p0, a, b, c
-
     def fun(q):
-        h, x0, p0, a, b, c = unpack(q)
+        h, x0, p0, a, b, c = q
         dxg, dpg = xx - x0, pp - p0
         model = h * np.exp(-0.5 * (a * dxg ** 2 + 2 * c * dxg * dpg + b * dpg ** 2))
         return (model - w).ravel()
 
+    def jac(q):
+        h, x0, p0, a, b, c = q
+        dxg, dpg = (xx - x0).ravel(), (pp - p0).ravel()
+        e = np.exp(-0.5 * (a * dxg ** 2 + 2 * c * dxg * dpg + b * dpg ** 2))
+        g = h * e
+        return np.column_stack([e, g * (a * dxg + c * dpg), g * (c * dxg + b * dpg),
+                                -0.5 * g * dxg ** 2, -0.5 * g * dpg ** 2,
+                                -g * dxg * dpg])
+
     q0 = np.array([float(np.max(w)), mx, mp_, vpp / det, vxx / det, -vxp / det])
-    res = least_squares(fun, q0, method="lm", xtol=1e-12, ftol=1e-14,
-                        max_nfev=2000)
+    res = _levenberg_marquardt(fun, jac, q0)
     if not res.success:
         raise FitFailureError("Gaussian fit of the Wigner grid did not converge",
-                              trace=getattr(res, "message", None))
-    _, _, _, a, b, c = unpack(res.x)
+                              trace=res.message)
+    _, _, _, a, b, c = map(float, res.x)
     if a <= 0 or b <= 0 or a * b - c ** 2 <= 0:
         raise FitFailureError("fitted inverse covariance is not positive definite")
-    cov = np.linalg.inv(np.array([[a, c], [c, b]]))
-    v2, v1 = np.sort(np.linalg.eigvalsh(cov))  # v1 = max, v2 = min
-    r = v1 / v2
-    eps = 2.0 * (r - 1.0) / (r + 1.0)
-
-    # parameter covariance -> epsilon uncertainty via numeric differentiation
-    dof = max(w.size - 6, 1)
+    eps, grad = _ellipticity(a, b, c)
+    if grad is None:
+        return eps, 0.0
     try:
-        qcov = np.linalg.inv(res.jac.T @ res.jac) * (2.0 * res.cost / dof)
+        qcov = _covariance(res, w.size)[3:, 3:]
     except np.linalg.LinAlgError:
-        return float(eps), 0.0
-
-    def eps_of(q):
-        _, _, _, a, b, c = unpack(q)
-        vals = np.sort(np.linalg.eigvalsh(np.linalg.inv(np.array([[a, c], [c, b]]))))
-        rr = vals[1] / vals[0]
-        return 2.0 * (rr - 1.0) / (rr + 1.0)
-
-    grad = np.zeros(6)
-    for i in range(3, 6):
-        h = 1e-7 * max(abs(res.x[i]), 1.0)
-        qp, qm = res.x.copy(), res.x.copy()
-        qp[i] += h
-        qm[i] -= h
-        grad[i] = (eps_of(qp) - eps_of(qm)) / (2 * h)
-    sigma = float(math.sqrt(max(grad @ qcov @ grad, 0.0)))
-    return float(eps), sigma
+        return eps, 0.0
+    return eps, float(math.sqrt(max(grad @ qcov @ grad, 0.0)))
 
 
 def synthesize_dataset(model: str, truth: dict, n_points: int,
@@ -501,49 +490,19 @@ def _quantity(value, sigma, unit) -> Optional[dict]:
     return {"value": value, "sigma": sigma, "unit": unit}
 
 
-@dataclass(frozen=True)
-class BoundsReport:
-    """All derived upper bounds with units, uncertainties, and input echo.
-
-    Decoherence-parameter entries are conservative upper bounds (all measured
-    decay is attributed to the model under test), never detections.
-    """
-
-    inputs: dict
-    gup: Optional[dict]
-    breuer: Optional[dict]
-    deformation: Optional[dict]
-    feasibility: dict = field(default_factory=planck_feasibility)
-
-    def to_json(self, path=None) -> str:
-        payload = {
-            "inputs": self.inputs,
-            "gup": self.gup,
-            "breuer": self.breuer,
-            "deformation": self.deformation,
-            "feasibility": {
-                "mass_frequency_product": _quantity(
-                    self.feasibility["mass_frequency_product"], 0.0, "kg^2/s^3"),
-                "omega_sq_over_gamma": _quantity(
-                    self.feasibility["omega_sq_over_gamma"], 0.0, "1/s"),
-            },
-        }
-        text = json.dumps(payload, indent=2, sort_keys=True)
-        if path is not None:
-            with open(path, "w") as fh:
-                fh.write(text + "\n")
-        return text
-
-
 def bounds_report(t1: float, sigma_t1: float, t2: float, sigma_t2: float,
                   omega: float, ap_hw: float, x0: float,
                   epsilon: Optional[float] = None,
-                  sigma_epsilon: float = 0.0) -> BoundsReport:
-    """Full chain (T1, T2[, epsilon]) -> model bounds; all inputs in SI.
+                  sigma_epsilon: float = 0.0) -> dict:
+    """Full chain (T1, T2[, epsilon]) -> model bounds, with units,
+    uncertainties, an echo of the inputs and the Planck feasibility targets;
+    all inputs in SI.  Returns the report as a JSON-ready dict.
 
     Each value is stored as {"value", "sigma", "unit"}; entries are omitted
     (null) when the inputs carry no constraint (e.g. tau infinite at
-    T2 = 2 T1) or when epsilon is not supplied.
+    T2 = 2 T1) or when epsilon is not supplied.  Decoherence-parameter entries
+    are conservative upper bounds (all measured decay is attributed to the
+    model under test), never detections.
     """
     inputs = {
         "T1": _quantity(t1, sigma_t1, "s"),
@@ -580,12 +539,14 @@ def bounds_report(t1: float, sigma_t1: float, t2: float, sigma_t2: float,
     deformation = None
     if epsilon is not None:
         beta, sbeta = beta_from_epsilon(epsilon, ap_hw, sigma_epsilon)
-        lk = lk_from_epsilon(epsilon, x0, sigma_epsilon)
+        lk, slk = lk_from_epsilon(epsilon, x0, sigma_epsilon)
         deformation = {
             "beta_bar": _quantity(beta, sbeta, "dimensionless"),
-            "l_k": _quantity(lk.value, lk.sigma, "m"),
-            "l_k_reference": _quantity(lk.reference_value, lk.reference_sigma, "m"),
+            "l_k": _quantity(lk, slk, "m"),
+            "l_k_reference": _quantity(*LK_REFERENCE, "m"),
         }
 
-    return BoundsReport(inputs=inputs, gup=gup, breuer=breuer,
-                        deformation=deformation)
+    units = {"mass_frequency_product": "kg^2/s^3", "omega_sq_over_gamma": "1/s"}
+    feasibility = {k: _quantity(v, 0.0, units[k]) for k, v in planck_feasibility().items()}
+    return {"inputs": inputs, "gup": gup, "breuer": breuer,
+            "deformation": deformation, "feasibility": feasibility}

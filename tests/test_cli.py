@@ -401,6 +401,26 @@ class TestFitAndBounds:
     def test_inconsistent_times_exit_4(self, capsys):
         assert main(["bounds", "--t1-us", "100", "--t2-us", "250"]) == 4
 
+    @pytest.mark.parametrize("flags", [
+        ["--t1-us", "nan"],
+        ["--t1-us", "inf"],
+        ["--st1-us", "-1"],
+        ["--st2-us", "nan"],
+        ["--epsilon", "nan"],
+        ["--epsilon", "0.02", "--sigma-epsilon", "inf"],
+        ["--epsilon", "0.02", "--x0", "nan"],
+        ["--f-hz", "nan"],
+    ], ids=" ".join)
+    def test_non_finite_or_negative_input_is_exit_2(self, tmp_path, capsys, flags):
+        out = tmp_path / "bounds.json"
+        argv = {"--t1-us": "85.8", "--t2-us": "147.3"}
+        argv.update(zip(flags[::2], flags[1::2]))
+        assert main(["bounds", *[x for kv in argv.items() for x in kv],
+                     "--json-out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and "Traceback" not in err
+        assert not out.exists()
+
     def test_bounds_prints_json_without_outfile(self, capsys):
         assert main(["bounds", "--t1-us", "85.8", "--t2-us", "147.3"]) == 0
         data = json.loads(capsys.readouterr().out)
@@ -464,6 +484,20 @@ class TestAnalyticCommand:
         t, p00, coh, p11 = map(float, rows[-1].split(","))
         assert p00 == pytest.approx(1 - 0.125 * t / 1000.0)
         assert coh == pytest.approx(0.5 * (1 - 0.375 * t / 1000.0))
+
+    def test_samples_are_simulates(self, tmp_path):
+        # t_end 10 is not a whole number of 3-wide sample strides: both end
+        # on the last step, at omega*t 9.99
+        times = {}
+        for command in ("analytic", "simulate"):
+            csv = tmp_path / f"{command}.csv"
+            cfg = write_config(tmp_path, name=f"{command}.cfg", model="damping-only",
+                               gamma_dimless=0.01, dim=6, t_end=10.0, dt=0.03,
+                               sample_every=100, csv_out=str(csv))
+            assert main([command, "--config", cfg]) == 0
+            times[command] = [row.split(",")[0] for row in csv.read_text().splitlines()]
+        assert times["analytic"] == times["simulate"]
+        assert times["analytic"][1:] == ["0", "3", "6", "9", "9.99"]
 
     @pytest.mark.parametrize("model", MODELS)
     def test_csv_bytes_per_model(self, tmp_path, model):

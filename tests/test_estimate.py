@@ -1,4 +1,3 @@
-import json
 import math
 import warnings
 
@@ -176,10 +175,10 @@ class TestParameterMaps:
         beta, sb = estimate.beta_from_epsilon(0.02, 1.5e-33, 0.005)
         assert beta == pytest.approx(0.02 / (6 * 1.5e-33))
         assert sb == pytest.approx(0.005 / (6 * 1.5e-33))
-        lk = estimate.lk_from_epsilon(0.02, 2.9e-19, 0.005)
-        assert lk.value == pytest.approx(2.9e-19 * math.sqrt(0.02))
-        assert lk.sigma == pytest.approx(0.5 * lk.value * 0.25)
-        assert lk.reference_value == pytest.approx(5.9e-20)
+        lk, slk = estimate.lk_from_epsilon(0.02, 2.9e-19, 0.005)
+        assert lk == pytest.approx(2.9e-19 * math.sqrt(0.02))
+        assert slk == pytest.approx(0.5 * lk * 0.25)
+        assert estimate.LK_REFERENCE[0] == pytest.approx(5.9e-20)
 
     def test_guards(self):
         with pytest.raises(ConfigError):
@@ -198,13 +197,18 @@ class TestWignerEllipticity:
         eps, _ = estimate.ellipticity_from_wigner(w)
         assert eps == pytest.approx(0.0, abs=1e-6)
 
-    def test_squeezed_gaussian_round_trip(self):
+    # theta 0.4: the squeezed axes are rotated off x and p, so the fitted
+    # inverse covariance has c != 0
+    @pytest.mark.parametrize("theta", [0.0, 0.4])
+    def test_squeezed_gaussian_round_trip(self, theta):
         # synthetic Gaussian with variance ratio matching epsilon = 0.1
         eps = 0.1
         vx, vp = 0.5 - eps / 4, 0.5 + eps / 4
         grid = np.linspace(-4.0, 4.0, 101)
         xx, pp = np.meshgrid(grid, grid, indexing="ij")
-        vals = np.exp(-0.5 * (xx**2 / vx + pp**2 / vp)) / (
+        u = math.cos(theta) * xx + math.sin(theta) * pp
+        v = -math.sin(theta) * xx + math.cos(theta) * pp
+        vals = np.exp(-0.5 * (u**2 / vx + v**2 / vp)) / (
             2 * np.pi * math.sqrt(vx * vp))
 
         class G:
@@ -214,6 +218,54 @@ class TestWignerEllipticity:
 
         got, _ = estimate.ellipticity_from_wigner(G())
         assert got == pytest.approx(eps, abs=1e-4)
+
+    def test_closed_form_equals_the_eigenvalue_ratio(self):
+        rng = np.random.default_rng(11)
+        for _ in range(200):
+            m = rng.normal(size=(2, 2))
+            s_inv = m @ m.T + 1e-3 * np.eye(2)
+            a, b, c = s_inv[0, 0], s_inv[1, 1], s_inv[0, 1]
+            v_min, v_max = np.linalg.eigvalsh(np.linalg.inv(s_inv))
+            r = v_max / v_min
+            eps, _ = estimate._ellipticity(a, b, c)
+            assert eps == pytest.approx(2 * (r - 1) / (r + 1), rel=1e-9, abs=1e-15)
+
+    @pytest.mark.parametrize("abc", [(2.0, 1.0, 0.0), (1.0, 1.0, 0.3),
+                                     (0.9, 1.1, -0.2), (3.0, 0.5, 0.7)])
+    def test_gradient_matches_central_differences(self, abc):
+        _, grad = estimate._ellipticity(*abc)
+        for i in range(3):
+            up, down = np.array(abc), np.array(abc)
+            up[i] += 1e-6
+            down[i] -= 1e-6
+            fd = (estimate._ellipticity(*up)[0] - estimate._ellipticity(*down)[0]) / 2e-6
+            assert grad[i] == pytest.approx(fd, rel=1e-6, abs=1e-9)
+
+    def test_round_fit_has_no_gradient(self):
+        assert estimate._ellipticity(0.7, 0.7, 0.0) == (0.0, None)
+
+    @pytest.mark.parametrize("q", [(0.3, 0.1, -0.2, 2.0, 1.5, 0.0),
+                                   (0.2, -0.3, 0.4, 1.2, 2.1, 0.5)])
+    def test_analytic_jacobian_matches_central_differences(self, monkeypatch, q):
+        seen = {}
+
+        def capture(fun, jac, x0):
+            seen["fun"], seen["jac"] = fun, jac
+            return fit(fun, jac, x0)
+
+        fit = estimate._levenberg_marquardt
+        monkeypatch.setattr(estimate, "_levenberg_marquardt", capture)
+        axis = np.linspace(-4.0, 4.0, 41)
+        estimate.ellipticity_from_wigner(fock.wigner(
+            fock.density(fock.superposition01(8)), axis, axis))
+        q = np.array(q)
+        jac = seen["jac"](q)
+        for i in range(6):
+            up, down = q.copy(), q.copy()
+            up[i] += 1e-6
+            down[i] -= 1e-6
+            fd = (seen["fun"](up) - seen["fun"](down)) / 2e-6
+            assert np.allclose(jac[:, i], fd, rtol=1e-6, atol=1e-9)
 
     # 1e300: the cell area overflows, so the mass is inf; 1e156: the mass is
     # finite but x² overflows, so the second moments are 0 * inf = nan
@@ -235,14 +287,11 @@ class TestFeasibilityAndReport:
         assert f["mass_frequency_product"] == pytest.approx(1.0076e113, rel=1e-3)
         assert f["omega_sq_over_gamma"] == pytest.approx(1.8549e43, rel=1e-3)
 
-    def test_report_structure(self, tmp_path):
-        rep = estimate.bounds_report(
+    def test_report_structure(self):
+        data = estimate.bounds_report(
             t1=85.8e-6, sigma_t1=1.5e-6, t2=147.3e-6, sigma_t2=2.6e-6,
             omega=2 * math.pi * 5.96e9, ap_hw=1.5e-33, x0=2.9e-19,
             epsilon=0.02, sigma_epsilon=0.005)
-        path = tmp_path / "r.json"
-        rep.to_json(path)
-        data = json.loads(path.read_text())
         for section in ("inputs", "gup", "breuer", "deformation", "feasibility"):
             assert section in data
         for entry in (data["gup"]["tau_g"], data["breuer"]["tau_c"],
@@ -251,10 +300,9 @@ class TestFeasibilityAndReport:
         assert data["gup"]["kappa"]["unit"] == "s"
 
     def test_report_nulls_when_unconstrained(self):
-        rep = estimate.bounds_report(
+        data = estimate.bounds_report(
             t1=100e-6, sigma_t1=0.0, t2=200e-6, sigma_t2=0.0,
             omega=1e10, ap_hw=1.5e-33, x0=2.9e-19)
-        data = json.loads(rep.to_json())
         assert data["gup"]["tau_g"] is None
         assert data["gup"]["kappa"] is None
         assert data["deformation"] is None

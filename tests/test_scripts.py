@@ -26,7 +26,8 @@ def run_script(name, *args, cwd):
     ("byte_sweep.py", ["--out-dir", "sweep", "--dim", "5"],
      ["sweep/simulate-gup-nonmarkov-g0.03-fock1-d5.csv",
       "sweep/wigner-breuer-g0-sup01-d5.json", "sweep/ens-gup-nonmarkov-ou.csv",
-      "sweep/fit-ramsey-no-sigma.json", "sweep/bounds-paper.json"]),
+      "sweep/analytic-breuer-g0.03.csv", "sweep/fit-ramsey-no-sigma.json",
+      "sweep/bounds-paper.json"]),
 ])
 def test_script_runs_and_writes_its_outputs(tmp_path, name, args, outputs):
     proc = run_script(name, *args, cwd=tmp_path)
