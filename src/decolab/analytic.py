@@ -17,7 +17,7 @@ import numpy as np
 from scipy.linalg import expm
 
 from . import generators
-from .exceptions import TruncationError, UnsupportedElementError, ValidityWarning
+from .exceptions import ConfigError, ValidityWarning
 from .generators import KernelSpec, ModelParams, PLANCK, energy_level
 
 __all__ = [
@@ -129,7 +129,7 @@ def k2_matrix_element(m: int, n: int, tau: float, beta_bar: float = 0.0,
         return 0.0 + 0.0j
     key = (m, n) if (m, n) in _K2_TABLE else (n, m)
     if key not in _K2_TABLE:
-        raise UnsupportedElementError(
+        raise ConfigError(
             f"element ({m},{n}) not tabulated; use generators.heisenberg_k2")
     # K² is real symmetric, so the magnitude is order-independent; the phase
     # uses the requested index order.
@@ -213,7 +213,7 @@ def damping_series_element(n1: int, n2: int, t: float, gamma: float,
         keep = min(chain, n_max + 1)
         dropped = [abs(rho0[n1 + j, n2 + j]) for j in range(keep, chain)]
         if dropped and max(dropped) > 1e-10:
-            raise TruncationError(
+            raise ConfigError(
                 f"series truncation at n_max={n_max} drops weight {max(dropped):.2e}")
         chain = keep
     a = np.zeros((chain, chain), dtype=complex)

@@ -5,8 +5,10 @@ runs are configured by a flat key=value file (unknown keys are errors) so a
 run is fully described by one artifact; every JSON summary embeds the
 resolved configuration with defaults materialized.
 
-Exit codes: 0 success; 2 configuration error; 3 numeric failure
-(positivity loss, non-convergence); 4 model inconsistency.
+Exit codes: 0 success; 2 configuration error (``ConfigError``, or an
+``OSError`` from a path that cannot be read or written); 3 numeric failure
+(``PositivityError``, ``FitFailureError``, ``numpy.linalg.LinAlgError``);
+4 model inconsistency (``ModelInconsistencyError``).
 """
 
 from __future__ import annotations
@@ -27,9 +29,7 @@ from . import analytic, fock, generators, integrate, trajectories
 from . import estimate as est
 from .exceptions import (
     ConfigError,
-    DecolabError,
     FitFailureError,
-    InitializationError,
     ModelInconsistencyError,
     PositivityError,
 )
@@ -394,9 +394,9 @@ def cmd_fit(args) -> int:
 
 def cmd_bounds(args) -> int:
     prof = PROFILES[args.profile]
-    f_hz = args.f_hz if args.f_hz else prof["f_hz"]
-    ap_hw = args.ap_hw if args.ap_hw else prof["ap_hw"]
-    x0 = args.x0 if args.x0 else prof["x0_m"]
+    f_hz = prof["f_hz"] if args.f_hz is None else args.f_hz
+    ap_hw = prof["ap_hw"] if args.ap_hw is None else args.ap_hw
+    x0 = prof["x0_m"] if args.x0 is None else args.x0
     _write_json(args.json_out, est.bounds_report(
         t1=args.t1_us * 1e-6, sigma_t1=args.st1_us * 1e-6,
         t2=args.t2_us * 1e-6, sigma_t2=args.st2_us * 1e-6,
@@ -431,9 +431,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--epsilon", type=float, default=None)
     p.add_argument("--sigma-epsilon", type=float, default=0.0)
     p.add_argument("--profile", default="hbar-16ug", choices=sorted(PROFILES))
-    p.add_argument("--f-hz", type=float, default=0.0)
-    p.add_argument("--ap-hw", type=float, default=0.0)
-    p.add_argument("--x0", type=float, default=0.0)
+    p.add_argument("--f-hz", type=float, default=None)
+    p.add_argument("--ap-hw", type=float, default=None)
+    p.add_argument("--x0", type=float, default=None)
     p.add_argument("--json-out", default="")
     return parser
 
@@ -472,19 +472,15 @@ def main(argv=None) -> int:
             raise ConfigError(f"out of memory for this config "
                               f"({_memory_sizes(cfg, args.command)}); lower one of "
                               f"them") from None
-    except (ConfigError, FileNotFoundError) as exc:
+    except (ConfigError, OSError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     except ModelInconsistencyError as exc:
         print(f"model inconsistency: {exc}", file=sys.stderr)
         return 4
-    except (PositivityError, FitFailureError, InitializationError,
-            np.linalg.LinAlgError) as exc:
+    except (PositivityError, FitFailureError, np.linalg.LinAlgError) as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return 3
-    except DecolabError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
 
 
 if __name__ == "__main__":

@@ -16,12 +16,7 @@ from typing import Optional
 import numpy as np
 from scipy.optimize import OptimizeResult, leastsq
 
-from .exceptions import (
-    ConfigError,
-    FitFailureError,
-    InitializationError,
-    ModelInconsistencyError,
-)
+from .exceptions import ConfigError, FitFailureError, ModelInconsistencyError
 from .generators import PLANCK, PhysicalConstants
 
 __all__ = [
@@ -216,7 +211,7 @@ def fit_ramsey(dataset: TimeSeriesDataset) -> FitResult:
     freqs = np.fft.rfftfreq(len(t), dt)
     k = int(np.argmax(spec[1:])) + 1
     if spec[k] < 3.0 * np.median(spec[1:]):
-        raise InitializationError("no spectral peak above the noise floor")
+        raise FitFailureError("no spectral peak above the noise floor")
     f0 = float(freqs[k])
     t20 = (t[-1] - t[0]) / 2.0
 

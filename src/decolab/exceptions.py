@@ -1,16 +1,21 @@
-"""Exception and warning types shared across the package."""
+"""Exception and warning types shared across the package.
+
+Each error class is one outcome of the command line, which maps it to an exit
+code and a stderr prefix:
+
+- ``ConfigError`` (and ``OSError``): exit 2, ``config error:``;
+- ``PositivityError``, ``FitFailureError`` (and ``numpy.linalg.LinAlgError``):
+  exit 3, ``numeric failure:``;
+- ``ModelInconsistencyError``: exit 4, ``model inconsistency:``.
+"""
 
 
 class DecolabError(Exception):
     """Base class for all package-specific errors."""
 
 
-class InvalidDimensionError(DecolabError, ValueError):
-    """Requested truncation dimension is too small for the operator."""
-
-
 class ConfigError(DecolabError, ValueError):
-    """Run configuration is malformed or inconsistent."""
+    """Input is malformed, out of range, or a combination no path supports."""
 
 
 class PositivityError(DecolabError, RuntimeError):
@@ -22,44 +27,16 @@ class PositivityError(DecolabError, RuntimeError):
         self.min_eigenvalue = min_eigenvalue
 
 
-class StepSizeError(DecolabError, ValueError):
-    """Time step too coarse for the requested kernel correlation time."""
-
-
-class KernelRoutingError(DecolabError, ValueError):
-    """A delta kernel was passed to the memory-integral right-hand side."""
-
-
-class UnsupportedElementError(DecolabError, ValueError):
-    """Closed-form matrix-element table does not cover the requested entry."""
-
-
-class UnsupportedCombinationError(DecolabError, ValueError):
-    """Parameter combination not supported by the requested mode."""
-
-
-class ResolutionError(DecolabError, ValueError):
-    """Noise correlation time is unresolvable at the given step size."""
-
-
 class ModelInconsistencyError(DecolabError, ValueError):
     """Measured (T1, T2) are incompatible with the rate model."""
 
 
-class InitializationError(DecolabError, ValueError):
-    """Deterministic fit initialization failed (e.g. no usable spectral peak)."""
-
-
 class FitFailureError(DecolabError, RuntimeError):
-    """Nonlinear least-squares fit did not converge."""
+    """Nonlinear least-squares fit did not converge or could not start."""
 
     def __init__(self, message, trace=None):
         super().__init__(message)
         self.trace = trace
-
-
-class TruncationError(DecolabError, ValueError):
-    """Series or basis truncation is insufficient for the requested accuracy."""
 
 
 class TruncationWarning(UserWarning):

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import eval_genlaguerre
 
-from .exceptions import InvalidDimensionError, TruncationWarning
+from .exceptions import ConfigError, TruncationWarning
 
 __all__ = [
     "ladder",
@@ -44,7 +44,7 @@ def _frozen(a: np.ndarray) -> np.ndarray:
 def ladder(dim: int) -> np.ndarray:
     """Annihilation operator a with <n-1|a|n> = sqrt(n)."""
     if dim < 2:
-        raise InvalidDimensionError(f"ladder operator needs dim >= 2, got {dim}")
+        raise ConfigError(f"ladder operator needs dim >= 2, got {dim}")
     a = np.zeros((dim, dim), dtype=complex)
     ns = np.arange(1, dim)
     a[ns - 1, ns] = np.sqrt(ns)
@@ -54,7 +54,7 @@ def ladder(dim: int) -> np.ndarray:
 def number_op(dim: int) -> np.ndarray:
     """Number operator N = a†a."""
     if dim < 2:
-        raise InvalidDimensionError(f"number operator needs dim >= 2, got {dim}")
+        raise ConfigError(f"number operator needs dim >= 2, got {dim}")
     return _frozen(np.diag(np.arange(dim, dtype=float)).astype(complex))
 
 
@@ -64,7 +64,7 @@ def kinetic(dim: int) -> np.ndarray:
     The a² term needs at least three levels, hence dim >= 3.
     """
     if dim < 3:
-        raise InvalidDimensionError(f"kinetic operator needs dim >= 3, got {dim}")
+        raise ConfigError(f"kinetic operator needs dim >= 3, got {dim}")
     a = ladder(dim)
     ad = a.conj().T
     k = 0.25 * (2.0 * number_op(dim) + np.eye(dim) - ad @ ad - a @ a)
@@ -85,7 +85,7 @@ def quadrature(theta: float, dim: int) -> np.ndarray:
 def fock_state(n: int, dim: int) -> np.ndarray:
     """Number state |n> as a ket vector."""
     if not 0 <= n < dim:
-        raise InvalidDimensionError(f"fock level {n} outside basis of size {dim}")
+        raise ConfigError(f"fock level {n} outside basis of size {dim}")
     psi = np.zeros(dim, dtype=complex)
     psi[n] = 1.0
     return _frozen(psi)
@@ -112,7 +112,7 @@ def validate_density_matrix(rho: np.ndarray, *, trace_tol: float = 1e-9,
     """
     rho = np.asarray(rho)
     if rho.ndim != 2 or rho.shape[0] != rho.shape[1] or rho.shape[0] < 2:
-        raise InvalidDimensionError(f"density matrix must be square with dim >= 2, got {rho.shape}")
+        raise ConfigError(f"density matrix must be square with dim >= 2, got {rho.shape}")
     tr = np.trace(rho)
     if abs(tr - 1.0) > trace_tol:
         raise ValueError(f"trace {tr} deviates from 1 beyond {trace_tol}")

@@ -27,7 +27,7 @@ from functools import cached_property, lru_cache
 import numpy as np
 
 from . import fock
-from .exceptions import KernelRoutingError
+from .exceptions import ConfigError
 
 __all__ = [
     "PhysicalConstants",
@@ -94,7 +94,7 @@ class KernelSpec:
     def f_dimless(self, u: np.ndarray, omega: float) -> np.ndarray:
         """Kernel density in dimensionless time (u in omega*t units)."""
         if self.kind == "delta":
-            raise KernelRoutingError("delta kernel has no density; use the Markovian form")
+            raise ConfigError("delta kernel has no density; use the Markovian form")
         tau = self.tau * omega
         return np.exp(-np.abs(u) / tau) / (2.0 * tau)
 
@@ -354,7 +354,7 @@ def memory_operator(t: float, model: Model) -> np.ndarray:
     s = min(t, MEMORY_WINDOW_TAUS τ) of the kernel.  Times are dimensionless.
     """
     if not model.tau:
-        raise KernelRoutingError(
+        raise ConfigError(
             "memory integral needs an exponential kernel; delta kernels route to gup_markov_rhs"
         )
     z, z2 = model.memory_parts

@@ -18,7 +18,7 @@ import numpy as np
 from scipy.linalg import expm
 
 from . import generators
-from .exceptions import KernelRoutingError, PositivityError, StepSizeError
+from .exceptions import ConfigError, PositivityError
 from .generators import Model, ModelParams
 
 __all__ = ["EvolutionResult", "evolve", "evolve_nonmarkov", "propagate_blocks",
@@ -278,8 +278,8 @@ def evolve_nonmarkov(rho0: np.ndarray, params: ModelParams, t_end: float,
     model = generators.model("gup-nonmarkov", params, rho0.shape[0])
     tau = model.tau
     if not tau:
-        raise KernelRoutingError("evolve_nonmarkov requires an exponential kernel")
+        raise ConfigError("evolve_nonmarkov requires an exponential kernel")
     if dt > tau / 10.0:
-        raise StepSizeError(f"dt={dt:.3g} exceeds tau/10={tau / 10:.3g}; reduce the step")
+        raise ConfigError(f"dt={dt:.3g} exceeds tau/10={tau / 10:.3g}; reduce the step")
     return evolve(rho0, lambda rho, t: generators.gup_nonmarkov_rhs(rho, t, model),
                   t_end, dt, sample_every=sample_every, omega=params.omega)

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import integrate
-from .exceptions import ResolutionError, UnsupportedCombinationError
+from .exceptions import ConfigError
 from .generators import Model
 
 __all__ = ["NoisePath", "sample_noise", "evolve_trajectory", "ensemble_average",
@@ -72,7 +72,7 @@ def sample_noise(kind: str, kappa_dimless: float, tau: float, dt: float,
         inc = rng.normal(0.0, math.sqrt(kappa_dimless * dt), size=n_steps)
     else:
         if tau < 5.0 * dt:
-            raise ResolutionError(f"OU tau={tau:.3g} unresolved at dt={dt:.3g} (need tau >= 5 dt)")
+            raise ConfigError(f"OU tau={tau:.3g} unresolved at dt={dt:.3g} (need tau >= 5 dt)")
         decay = math.exp(-dt / tau)
         stat_sd = math.sqrt(kappa_dimless / (2.0 * tau))
         kick_sd = stat_sd * math.sqrt(1.0 - decay ** 2)
@@ -96,7 +96,7 @@ def evolve_trajectory(psi0: np.ndarray, model: Model, noise: NoisePath,
     every ``sample_every`` steps (always including t=0 and the endpoint).
     """
     if model.gamma != 0.0:
-        raise UnsupportedCombinationError("trajectory mode requires gamma = 0")
+        raise ConfigError("trajectory mode requires gamma = 0")
     psi0 = np.asarray(psi0, dtype=complex)
     if abs(np.linalg.norm(psi0) - 1.0) > 1e-10:
         raise ValueError("psi0 must be normalized")
@@ -174,7 +174,7 @@ def ensemble_average(psi0: np.ndarray, model: Model, n_traj: int,
     if sample_every < 1:
         raise ValueError("sample_every must be at least 1")
     if model.gamma != 0.0:
-        raise UnsupportedCombinationError("ensemble mode requires gamma = 0")
+        raise ConfigError("ensemble mode requires gamma = 0")
     psi0 = np.asarray(psi0, dtype=complex)
     dim = psi0.shape[0]
 

@@ -7,8 +7,7 @@ from scipy.integrate import dblquad
 
 from decolab import analytic, fock, generators, integrate
 from decolab.analytic import FreeParticlePair
-from decolab.exceptions import (TruncationError, UnsupportedElementError,
-                                ValidityWarning)
+from decolab.exceptions import ConfigError, ValidityWarning
 from decolab.generators import PLANCK, KernelSpec, ModelParams
 
 
@@ -90,7 +89,7 @@ class TestK2Elements:
                 k2t[m, n], abs=1e-12)
 
     def test_untabulated_element_raises(self):
-        with pytest.raises(UnsupportedElementError):
+        with pytest.raises(ConfigError, match=r"element \(2,2\) not tabulated"):
             analytic.k2_matrix_element(2, 2, 0.0)
 
     def test_negative_indices_rejected(self):
@@ -212,7 +211,7 @@ class TestDampingSeries:
 
     def test_truncation_guard(self):
         rho0 = fock.density(fock.fock_state(5, 8))
-        with pytest.raises(TruncationError):
+        with pytest.raises(ConfigError, match="series truncation at n_max=2"):
             analytic.damping_series_element(0, 0, 1.0, 0.1, 0.0, 0.0, rho0,
                                             n_max=2)
 

@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import math
 import tempfile
@@ -10,7 +12,11 @@ from hypothesis import strategies as st
 
 from decolab import analytic, cli, estimate, fock, generators, integrate, trajectories
 from decolab.cli import MODELS, RunConfig, main
-from decolab.exceptions import ConfigError
+from decolab.exceptions import (ConfigError, DecolabError, FitFailureError,
+                                ModelInconsistencyError, PositivityError)
+
+#: the stderr prefix each exit code other than 0 starts with
+PREFIX = {2: "config error:", 3: "numeric failure:", 4: "model inconsistency:"}
 
 
 def write_config(tmp_path, name="run.cfg", **kv):
@@ -28,6 +34,25 @@ class TestConfigFile:
 
     def test_missing_file_is_exit_2(self, capsys):
         assert main(["simulate", "--config", "/nonexistent/run.cfg"]) == 2
+
+    @pytest.mark.parametrize("argv", [
+        ["simulate", "--config", "{tmp}"],
+        ["simulate", "--config", "{tmp}/csv-dir.cfg"],
+        ["simulate", "--config", "{tmp}/csv-under-file.cfg"],
+        ["bounds", "--t1-us", "85.8", "--t2-us", "147.3", "--json-out", "{tmp}"],
+        ["fit", "--data", "{tmp}/t1.csv", "--fit-model", "exp", "--json-out", "{tmp}"],
+    ], ids=["config-is-dir", "csv-out-is-dir", "csv-out-under-file",
+            "bounds-json-out-is-dir", "fit-json-out-is-dir"])
+    def test_unreadable_or_unwritable_path_is_exit_2(self, tmp_path, capsys, argv):
+        run = {"model": "damping-only", "dim": 4, "t_end": 0.5}
+        write_config(tmp_path, "csv-dir.cfg", csv_out=tmp_path, **run)
+        write_config(tmp_path, "csv-under-file.cfg",
+                     csv_out=tmp_path / "csv-dir.cfg" / "out.csv", **run)
+        estimate.synthesize_dataset("exp", {"A": 0.9, "T1": 85.8e-6, "C": 0.05},
+                                    40, 0.01, 3, 400e-6).to_csv(tmp_path / "t1.csv")
+        assert main([a.format(tmp=tmp_path) for a in argv]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and "Traceback" not in err
 
     def test_bad_value_is_exit_2(self, tmp_path, capsys):
         cfg = write_config(tmp_path, dim="three")
@@ -410,6 +435,9 @@ class TestFitAndBounds:
         ["--epsilon", "0.02", "--sigma-epsilon", "inf"],
         ["--epsilon", "0.02", "--x0", "nan"],
         ["--f-hz", "nan"],
+        ["--f-hz", "0"],
+        ["--ap-hw", "0"],
+        ["--epsilon", "0.02", "--x0", "0"],
     ], ids=" ".join)
     def test_non_finite_or_negative_input_is_exit_2(self, tmp_path, capsys, flags):
         out = tmp_path / "bounds.json"
@@ -586,11 +614,60 @@ def _configs(draw):
 
 @settings(max_examples=60, deadline=None)
 @given(command=st.sampled_from(["simulate", "wigner", "analytic", "ensemble"]),
-       values=_configs())
-def test_every_config_ends_in_a_contract_exit_code(command, values):
+       values=_configs(), out_is_dir=st.sampled_from([None, "csv_out", "json_out"]))
+def test_every_config_ends_in_a_contract_exit_code(command, values, out_is_dir):
+    err = io.StringIO()
     with tempfile.TemporaryDirectory() as tmp, warnings.catch_warnings():
         warnings.simplefilter("ignore")
         values = dict(values, csv_out=f"{tmp}/out.csv", json_out=f"{tmp}/out.json")
+        if out_is_dir:
+            values[out_is_dir] = tmp
         with open(f"{tmp}/run.cfg", "w") as fh:
             fh.write("".join(f"{k} = {v}\n" for k, v in values.items()))
-        assert main([command, "--config", f"{tmp}/run.cfg"]) in (0, 2, 3, 4)
+        with contextlib.redirect_stderr(err):
+            code = main([command, "--config", f"{tmp}/run.cfg"])
+    assert code in (0, 2, 3, 4)
+    assert "Traceback" not in err.getvalue()
+    if code:
+        assert err.getvalue().startswith(PREFIX[code])
+
+
+@pytest.mark.parametrize("command, kv, match", [
+    ("simulate", {"model": "gup-nonmarkov", "kernel": "exponential",
+                  "omega_tau_kernel": 0.05, "dt": 0.02}, "exceeds tau/10"),
+    ("ensemble", {"model": "gup-nonmarkov", "kernel": "exponential",
+                  "omega_tau_kernel": 0.1, "noise_kind": "ornstein-uhlenbeck"},
+     "need tau >= 5 dt"),
+    ("ensemble", {"model": "gup-markov", "gamma_dimless": 0.01},
+     "ensemble mode requires gamma = 0"),
+], ids=["nonmarkov-dt-past-tau-over-10", "ou-tau-under-5-dt", "ensemble-gamma"])
+def test_library_config_errors_print_the_config_prefix(tmp_path, capsys, command, kv,
+                                                       match):
+    kv = {"omega_tau_g": 100.0, "dim": 6, "t_end": 0.5, "dt": 0.05, **kv}
+    assert main([command, "--config", write_config(tmp_path, **kv)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and match in err
+
+
+def _error_classes(base=DecolabError):
+    for cls in base.__subclasses__():
+        if cls.__module__ == DecolabError.__module__:
+            yield cls
+            yield from _error_classes(cls)
+
+
+#: the exit code main documents for each error class
+EXIT_CODE = {ConfigError: 2, PositivityError: 3, FitFailureError: 3,
+             ModelInconsistencyError: 4}
+
+
+@pytest.mark.parametrize("cls", sorted(_error_classes(), key=lambda c: c.__name__),
+                         ids=lambda c: c.__name__)
+def test_every_error_class_has_an_exit_code(monkeypatch, capsys, cls):
+    def raise_it(args):
+        raise cls("injected")
+    monkeypatch.setattr(cli, "cmd_bounds", raise_it)
+    assert cls in EXIT_CODE, f"{cls.__name__} has no documented exit code"
+    code = main(["bounds", "--t1-us", "85.8", "--t2-us", "147.3"])
+    assert code == EXIT_CODE[cls]
+    assert capsys.readouterr().err == f"{PREFIX[code]} injected\n"

@@ -7,8 +7,7 @@ from scipy.optimize import least_squares
 
 from decolab import estimate, fock
 from decolab.estimate import TimeSeriesDataset
-from decolab.exceptions import (ConfigError, FitFailureError, InitializationError,
-                                ModelInconsistencyError)
+from decolab.exceptions import ConfigError, FitFailureError, ModelInconsistencyError
 
 
 class TestDataset:
@@ -70,7 +69,7 @@ class TestFits:
         t = np.linspace(1e-6, 16e-6, 16)
         y = np.zeros(16)
         y[0] = 1.0
-        with pytest.raises(InitializationError):
+        with pytest.raises(FitFailureError, match="no spectral peak above the noise floor"):
             estimate.fit_ramsey(TimeSeriesDataset(t=t, y=y))
 
     def test_noisy_fit_sigma_scales_with_noise(self):

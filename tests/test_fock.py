@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from decolab import fock
-from decolab.exceptions import InvalidDimensionError, TruncationWarning
+from decolab.exceptions import ConfigError, TruncationWarning
 
 
 class TestOperators:
@@ -38,11 +38,11 @@ class TestOperators:
         assert np.allclose(fock.kinetic(dim), expected, atol=1e-15)
 
     def test_dimension_guards(self):
-        with pytest.raises(InvalidDimensionError):
+        with pytest.raises(ConfigError, match="ladder operator needs dim >= 2"):
             fock.ladder(1)
-        with pytest.raises(InvalidDimensionError):
+        with pytest.raises(ConfigError, match="kinetic operator needs dim >= 3"):
             fock.kinetic(2)
-        with pytest.raises(InvalidDimensionError):
+        with pytest.raises(ConfigError, match="fock level 4 outside basis of size 4"):
             fock.fock_state(4, 4)
 
     def test_operators_are_read_only(self):

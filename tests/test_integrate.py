@@ -5,7 +5,7 @@ import pytest
 from scipy.linalg import expm
 
 from decolab import fock, generators, integrate
-from decolab.exceptions import KernelRoutingError, PositivityError, StepSizeError
+from decolab.exceptions import ConfigError, PositivityError
 from decolab.generators import KernelSpec, ModelParams
 
 
@@ -389,14 +389,14 @@ class TestNonMarkov:
     def test_requires_exponential_kernel(self):
         p = ModelParams.from_dimensionless(omega_tau_g=100.0)
         rho0 = fock.density(fock.fock_state(0, 6))
-        with pytest.raises(KernelRoutingError):
+        with pytest.raises(ConfigError, match="requires an exponential kernel"):
             integrate.evolve_nonmarkov(rho0, p, 1.0, 0.01)
 
     def test_step_size_guard(self):
         p = ModelParams.from_dimensionless(
             omega_tau_g=100.0, kernel=KernelSpec(kind="exponential", tau=0.05))
         rho0 = fock.density(fock.fock_state(0, 6))
-        with pytest.raises(StepSizeError):
+        with pytest.raises(ConfigError, match="exceeds tau/10"):
             integrate.evolve_nonmarkov(rho0, p, 1.0, 0.02)
 
     def test_no_noise_keeps_purity(self):

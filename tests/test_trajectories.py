@@ -5,7 +5,7 @@ import pytest
 from scipy.linalg import expm
 
 from decolab import fock, generators, integrate, trajectories
-from decolab.exceptions import ResolutionError, UnsupportedCombinationError
+from decolab.exceptions import ConfigError
 from decolab.generators import KernelSpec, ModelParams
 
 
@@ -50,7 +50,7 @@ class TestNoiseSampling:
             assert np.array_equal(path.increments, want)
 
     def test_unresolved_ou_rejected(self):
-        with pytest.raises(ResolutionError):
+        with pytest.raises(ConfigError, match="need tau >= 5 dt"):
             trajectories.sample_noise("ornstein-uhlenbeck", 0.1, 0.04, 0.01,
                                       100, seed=0)
 
@@ -143,7 +143,7 @@ class TestSingleTrajectory:
     def test_damping_not_supported(self):
         p = ModelParams.from_dimensionless(gamma_dimless=0.01)
         noise = trajectories.sample_noise("white", 0.0, 0.0, 0.05, 10, seed=0)
-        with pytest.raises(UnsupportedCombinationError):
+        with pytest.raises(ConfigError, match="trajectory mode requires gamma = 0"):
             trajectories.evolve_trajectory(fock.fock_state(0, 4), gup(p, 4), noise)
 
     def test_sample_every_below_one_rejected(self):
@@ -232,7 +232,7 @@ class TestEnsemble:
 
     def test_gamma_not_supported(self):
         p = ModelParams.from_dimensionless(omega_tau_g=200.0, gamma_dimless=0.01)
-        with pytest.raises(UnsupportedCombinationError):
+        with pytest.raises(ConfigError, match="ensemble mode requires gamma = 0"):
             trajectories.ensemble_average(fock.fock_state(0, 6), gup(p, 6), 100,
                                           seed=1, dt=0.05, n_steps=10)
 
