@@ -10,7 +10,7 @@ input errors are not assumed independent.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional
 
 import numpy as np
@@ -149,6 +149,8 @@ def _finish_fit(res, names, n_points):
     except np.linalg.LinAlgError as exc:
         raise FitFailureError("singular curvature matrix at the optimum",
                               trace=str(exc)) from exc
+    if not (math.isfinite(res.cost) and np.all(np.isfinite(cov))):
+        raise FitFailureError("residuals or covariance are not finite at the optimum")
     sig = np.sqrt(np.maximum(np.diag(cov), 0.0))
     return FitResult(params=dict(zip(names, map(float, res.x))),
                      sigmas=dict(zip(names, map(float, sig))),
@@ -195,25 +197,27 @@ def fit_exp_decay(dataset: TimeSeriesDataset) -> FitResult:
 def fit_ramsey(dataset: TimeSeriesDataset) -> FitResult:
     """Fit A exp(-t/T2) cos(2 pi f t + phi) + C; T2 in seconds, f in Hz.
 
-    The frequency is initialized from the discrete-spectrum peak of the
-    detrended data; the phase from a coarse grid refined by the optimizer.
+    One Levenberg-Marquardt descent, from f at the spectral peak of the detrended
+    data, T2 at half the time span, and A, phi and C from the weighted linear fit
+    of [e cos(2 pi f t), e sin(2 pi f t), 1], e = exp(-t/T2), at that (T2, f).
     """
     t, y = dataset.t, dataset.y
     if len(t) < 12:
         raise ConfigError("Ramsey fit needs at least 12 points")
     w = 1.0 / dataset.sigma if dataset.sigma is not None else np.ones_like(y)
 
-    c0 = float(np.mean(y))
-    detrended = y - c0
-    a0 = float(math.sqrt(2.0) * np.std(detrended)) or 1.0
     dt = float(np.mean(np.diff(t)))
-    spec = np.abs(np.fft.rfft(detrended))
+    spec = np.abs(np.fft.rfft(y - np.mean(y)))
     freqs = np.fft.rfftfreq(len(t), dt)
     k = int(np.argmax(spec[1:])) + 1
     if spec[k] < 3.0 * np.median(spec[1:]):
         raise FitFailureError("no spectral peak above the noise floor")
     f0 = float(freqs[k])
     t20 = (t[-1] - t[0]) / 2.0
+    e0 = _safe_exp(-t / t20)
+    basis = np.column_stack([e0 * np.cos(2 * np.pi * f0 * t),
+                             e0 * np.sin(2 * np.pi * f0 * t), np.ones_like(t)])
+    (ca, sa, c0), *_ = np.linalg.lstsq(w[:, None] * basis, w * y, rcond=None)
 
     def fun(p):
         a, t2, f, phi, c = p
@@ -232,22 +236,15 @@ def fit_ramsey(dataset: TimeSeriesDataset) -> FitResult:
             w,
         ])
 
-    best = None
-    for phi0 in (0.0, 0.5 * np.pi, np.pi, 1.5 * np.pi):
-        x0 = np.array([a0, t20, f0, phi0, c0])
-        res = _levenberg_marquardt(fun, jac, x0)
-        if res.success and (best is None or res.cost < best.cost):
-            best = res
-    if best is None:
-        raise FitFailureError("Ramsey fit did not converge from any phase start")
-    out = _finish_fit(best, ["A", "T2", "f", "phi", "C"], len(t))
+    res = _levenberg_marquardt(
+        fun, jac, np.array([math.hypot(ca, sa), t20, f0, math.atan2(-sa, ca), c0]))
+    out = _finish_fit(res, ["A", "T2", "f", "phi", "C"], len(t))
     # canonicalize sign/phase so A >= 0 and phi in [-pi, pi)
-    p, s = dict(out.params), dict(out.sigmas)
+    p = dict(out.params)
     if p["A"] < 0:
         p["A"], p["phi"] = -p["A"], p["phi"] + np.pi
     p["phi"] = float((p["phi"] + np.pi) % (2 * np.pi) - np.pi)
-    return FitResult(params=p, sigmas=s, residual_norm=out.residual_norm,
-                     converged=True, n_eval=out.n_eval)
+    return replace(out, params=p)
 
 
 @dataclass(frozen=True)
@@ -499,6 +496,8 @@ def bounds_report(t1: float, sigma_t1: float, t2: float, sigma_t2: float,
     are conservative upper bounds (all measured decay is attributed to the
     model under test), never detections.
     """
+    if not all(0 < v < math.inf for v in (omega, ap_hw, x0)):
+        raise ConfigError("omega, ap_hw and x0 must be positive and finite")
     inputs = {
         "T1": _quantity(t1, sigma_t1, "s"),
         "T2": _quantity(t2, sigma_t2, "s"),

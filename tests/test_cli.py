@@ -438,6 +438,7 @@ class TestFitAndBounds:
         ["--f-hz", "0"],
         ["--ap-hw", "0"],
         ["--epsilon", "0.02", "--x0", "0"],
+        ["--x0", "-1"],
     ], ids=" ".join)
     def test_non_finite_or_negative_input_is_exit_2(self, tmp_path, capsys, flags):
         out = tmp_path / "bounds.json"

@@ -100,6 +100,55 @@ class TestFits:
         monkeypatch.setattr(estimate, "_levenberg_marquardt", self.least_squares_lm)
         assert got == fit(ds)
 
+    @staticmethod
+    def four_start_ramsey(monkeypatch, ds):
+        """The one-start fit, and the earlier fit as the reference: LM from
+        phi0 in {0, pi/2, pi, 3pi/2} at A0 = sqrt(2) std(y), C0 = mean(y) and
+        the same (T2, f) start, keeping the lowest cost.  Returns the fit, the
+        reference's canonical params and residual norm, and the evaluation
+        counts of the reference's best start and of all four starts."""
+        seen = {}
+
+        def capture(fun, jac, x0):
+            seen.update(fun=fun, jac=jac, x0=x0)
+            return lm(fun, jac, x0)
+
+        lm = estimate._levenberg_marquardt
+        monkeypatch.setattr(estimate, "_levenberg_marquardt", capture)
+        fit = estimate.fit_ramsey(ds)
+        a0, c0 = math.sqrt(2.0) * np.std(ds.y), np.mean(ds.y)
+        runs = [lm(seen["fun"], seen["jac"], np.array([a0, *seen["x0"][1:3], phi0, c0]))
+                for phi0 in (0.0, 0.5 * np.pi, np.pi, 1.5 * np.pi)]
+        best = min((r for r in runs if r.success), key=lambda r: r.cost)
+        a, t2, f, phi, c = best.x
+        if a < 0:
+            a, phi = -a, phi + np.pi
+        params = {"A": a, "T2": t2, "f": f, "phi": (phi + np.pi) % (2 * np.pi) - np.pi,
+                  "C": c}
+        return (fit, params, math.sqrt(2.0 * best.cost), best.nfev,
+                sum(r.nfev for r in runs))
+
+    @pytest.mark.parametrize("seed", [1, 2, 3, 4, 5, 6])
+    def test_ramsey_reaches_the_four_start_minimum(self, monkeypatch, seed):
+        truth = {"A": 1.0, "T2": 147.3e-6, "f": 6.0e4, "phi": 0.4, "C": 0.0}
+        ds = estimate.synthesize_dataset("ramsey", truth, 80, 0.02, seed, 300e-6)
+        fit, _, norm, best_nfev, nfev = self.four_start_ramsey(monkeypatch, ds)
+        assert fit.residual_norm == pytest.approx(norm, rel=1e-9)
+        assert fit.n_eval <= best_nfev < nfev
+
+    @pytest.mark.parametrize("truth", [
+        {"A": 1.0, "T2": 147.3e-6, "f": 6.0e4, "phi": 0.4, "C": 0.0},
+        {"A": 0.6, "T2": 110e-6, "f": 4.5e4, "phi": 3.1, "C": 0.3},
+        {"A": 0.8, "T2": 190e-6, "f": 7.5e4, "phi": -3.1, "C": -0.2},
+    ], ids=["paper", "phi-near-pi", "phi-near-minus-pi"])
+    def test_ramsey_noise_free_matches_the_four_start_fit(self, monkeypatch, truth):
+        ds = estimate.synthesize_dataset("ramsey", truth, 80, 0.0, 0, 300e-6)
+        fit, params, _, best_nfev, nfev = self.four_start_ramsey(monkeypatch, ds)
+        for k, v in params.items():
+            assert fit.params[k] == pytest.approx(v, rel=1e-9, abs=1e-12)
+            assert fit.params[k] == pytest.approx(truth[k], rel=1e-9, abs=1e-12)
+        assert fit.n_eval <= best_nfev < nfev
+
     def test_too_few_points_rejected(self):
         ds = TimeSeriesDataset(t=np.array([1e-6, 2e-6, 3e-6, 4e-6]),
                                y=np.array([1.0, 0.8, 0.6, 0.5]))

@@ -1,5 +1,7 @@
-"""Smoke runs of the scripts under scripts/, each in its own interpreter."""
+"""Smoke runs of the scripts under scripts/ and of `python -m decolab`, each in
+its own interpreter."""
 
+import json
 import os
 import pathlib
 import subprocess
@@ -34,3 +36,13 @@ def test_script_runs_and_writes_its_outputs(tmp_path, name, args, outputs):
     assert proc.returncode == 0, proc.stderr
     for out in outputs:
         assert (tmp_path / out).stat().st_size > 0
+
+
+def test_module_entry_point_runs_without_warnings(tmp_path):
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    proc = subprocess.run([sys.executable, "-W", "default", "-m", "decolab", "bounds",
+                           "--t1-us", "85.8", "--t2-us", "147.3"],
+                          cwd=tmp_path, env=env, capture_output=True, text=True,
+                          timeout=300)
+    assert proc.returncode == 0 and proc.stderr == ""
+    assert "gup" in json.loads(proc.stdout)
