@@ -142,13 +142,11 @@ def _covariance(res, n_points) -> np.ndarray:
 
 def _finish_fit(res, names, n_points):
     if not res.success:
-        raise FitFailureError("least-squares fit did not converge",
-                              trace=getattr(res, "message", None))
+        raise FitFailureError("least-squares fit did not converge")
     try:
         cov = _covariance(res, n_points)
     except np.linalg.LinAlgError as exc:
-        raise FitFailureError("singular curvature matrix at the optimum",
-                              trace=str(exc)) from exc
+        raise FitFailureError("singular curvature matrix at the optimum") from exc
     if not (math.isfinite(res.cost) and np.all(np.isfinite(cov))):
         raise FitFailureError("residuals or covariance are not finite at the optimum")
     sig = np.sqrt(np.maximum(np.diag(cov), 0.0))
@@ -210,7 +208,7 @@ def fit_ramsey(dataset: TimeSeriesDataset) -> FitResult:
     spec = np.abs(np.fft.rfft(y - np.mean(y)))
     freqs = np.fft.rfftfreq(len(t), dt)
     k = int(np.argmax(spec[1:])) + 1
-    if spec[k] < 3.0 * np.median(spec[1:]):
+    if spec[k] <= 3.0 * np.median(spec[1:]):
         raise FitFailureError("no spectral peak above the noise floor")
     f0 = float(freqs[k])
     t20 = (t[-1] - t[0]) / 2.0
@@ -360,25 +358,22 @@ def lk_from_epsilon(epsilon: float, x0: float, sigma_epsilon: float = 0.0):
     return value, 0.0 if epsilon == 0 else 0.5 * value * sigma_epsilon / epsilon
 
 
-def _ellipticity(a: float, b: float, c: float):
+def _ellipticity(a: float, b: float, c: float) -> float:
     """epsilon = 2(r - 1)/(r + 1) for the eigenvalue ratio r = v_max/v_min of
-    a covariance S with S^(-1) = [[a, c], [c, b]], whose ratio r is the same:
-    exactly 2 sqrt((a - b)^2 + 4c^2)/(a + b).  Returns epsilon and its gradient
-    in (a, b, c), which is None where the root is 0 and |.| has none."""
-    root, s = math.hypot(a - b, 2.0 * c), a + b
-    if root == 0.0:
-        return 0.0, None
-    return 2.0 * root / s, 2.0 / s * np.array(
-        [(a - b) / root - root / s, (b - a) / root - root / s, 4.0 * c / root])
+    the covariance [[a, c], [c, b]], or of its inverse, whose ratio r is the
+    same: exactly 2 sqrt((a - b)^2 + 4c^2)/(a + b)."""
+    return 2.0 * math.hypot(a - b, 2.0 * c) / (a + b)
 
 
 def ellipticity_from_wigner(grid) -> tuple:
-    """Ellipticity epsilon from a 2-D Gaussian fit of a Wigner grid.
+    """Ellipticity epsilon of a Wigner grid from its moments.
 
-    Fits h exp(-(1/2) d^T S^(-1) d) with S^(-1) = [[a, c], [c, b]] and takes
-    epsilon from ``_ellipticity``; sigma is the fit's parameter covariance
-    propagated through its gradient, and 0 on a round fit.  Returns
-    (epsilon, sigma).
+    epsilon is the paper's variance ratio: the max/min quadrature variance is
+    (2 + epsilon)/(2 - epsilon) (``analytic.ground_state_variance``), taken
+    here from the eigenvalues of the grid's x-p covariance through
+    ``_ellipticity``.  On a Gaussian grid this is the Gaussian's own
+    ellipticity.  sigma is 0.0: the grid is noise-free, and its truncation is
+    reported as ``WignerGrid.captured_mass``.  Returns (epsilon, sigma).
     """
     x, p, w = np.asarray(grid.x), np.asarray(grid.p), np.asarray(grid.values)
     xx, pp = np.meshgrid(x, p, indexing="ij")
@@ -395,38 +390,7 @@ def ellipticity_from_wigner(grid) -> tuple:
     det = vxx * vpp - vxp ** 2  # non-finite whenever a moment is
     if not (0 < det < math.inf and vxx > 0 and vpp > 0):
         raise FitFailureError("moment covariance is not finite and positive definite")
-
-    def fun(q):
-        h, x0, p0, a, b, c = q
-        dxg, dpg = xx - x0, pp - p0
-        model = h * np.exp(-0.5 * (a * dxg ** 2 + 2 * c * dxg * dpg + b * dpg ** 2))
-        return (model - w).ravel()
-
-    def jac(q):
-        h, x0, p0, a, b, c = q
-        dxg, dpg = (xx - x0).ravel(), (pp - p0).ravel()
-        e = np.exp(-0.5 * (a * dxg ** 2 + 2 * c * dxg * dpg + b * dpg ** 2))
-        g = h * e
-        return np.column_stack([e, g * (a * dxg + c * dpg), g * (c * dxg + b * dpg),
-                                -0.5 * g * dxg ** 2, -0.5 * g * dpg ** 2,
-                                -g * dxg * dpg])
-
-    q0 = np.array([float(np.max(w)), mx, mp_, vpp / det, vxx / det, -vxp / det])
-    res = _levenberg_marquardt(fun, jac, q0)
-    if not res.success:
-        raise FitFailureError("Gaussian fit of the Wigner grid did not converge",
-                              trace=res.message)
-    _, _, _, a, b, c = map(float, res.x)
-    if a <= 0 or b <= 0 or a * b - c ** 2 <= 0:
-        raise FitFailureError("fitted inverse covariance is not positive definite")
-    eps, grad = _ellipticity(a, b, c)
-    if grad is None:
-        return eps, 0.0
-    try:
-        qcov = _covariance(res, w.size)[3:, 3:]
-    except np.linalg.LinAlgError:
-        return eps, 0.0
-    return eps, float(math.sqrt(max(grad @ qcov @ grad, 0.0)))
+    return _ellipticity(vxx, vpp, vxp), 0.0
 
 
 def synthesize_dataset(model: str, truth: dict, n_points: int,

@@ -34,10 +34,6 @@ class ModelInconsistencyError(DecolabError, ValueError):
 class FitFailureError(DecolabError, RuntimeError):
     """Nonlinear least-squares fit did not converge or could not start."""
 
-    def __init__(self, message, trace=None):
-        super().__init__(message)
-        self.trace = trace
-
 
 class TruncationWarning(UserWarning):
     """Grid or basis truncation may bias the result; carries a mass estimate."""

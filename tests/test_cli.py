@@ -362,6 +362,15 @@ class TestFitAndBounds:
         data.write_text("\n".join(rows) + "\n")
         assert main(["fit", "--data", str(data), "--fit-model", "ramsey"]) == 3
 
+    def test_fit_constant_ramsey_trace_is_exit_3(self, tmp_path, capsys):
+        data = tmp_path / "constant.csv"
+        data.write_text("t_us,y\n" + "".join(f"{5 * (i + 1)},0.5\n" for i in range(80)))
+        out = tmp_path / "fit.json"
+        assert main(["fit", "--data", str(data), "--fit-model", "ramsey",
+                     "--json-out", str(out)]) == 3
+        assert capsys.readouterr().err.startswith("numeric failure:")
+        assert not out.exists()
+
     @pytest.mark.parametrize("body, match", [
         ("", "no data rows"),
         ("1.0,0.5\n2.0,abc\n", "could not convert"),
@@ -467,6 +476,17 @@ class TestWigner:
         assert data["captured_mass"] == pytest.approx(1.0, abs=1e-6)
         assert abs(data["ellipticity"]["value"]) < 1e-6
         assert csv.read_text().splitlines()[0] == "x,p,w"
+
+    def test_superposition_ellipticity_is_the_variance_ratio(self, tmp_path):
+        # Var x = 1/2, Var p = 1, Cov = 0 for (|0> + |1>)/sqrt(2): r = 2, epsilon = 2/3
+        out = tmp_path / "w.json"
+        cfg = write_config(tmp_path, model="damping-only", t_end=0.0, dim=20,
+                           initial_state="superposition01", grid_halfwidth=4.0,
+                           grid_points=81, json_out=str(out))
+        assert main(["wigner", "--config", cfg]) == 0
+        eps = json.loads(out.read_text())["ellipticity"]
+        assert eps["value"] == pytest.approx(2.0 / 3.0, abs=1e-5)
+        assert eps["sigma"] == 0.0
 
     def test_overflowing_grid_reports_null_ellipticity(self, tmp_path):
         out = tmp_path / "w.json"

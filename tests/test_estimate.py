@@ -72,6 +72,12 @@ class TestFits:
         with pytest.raises(FitFailureError, match="no spectral peak above the noise floor"):
             estimate.fit_ramsey(TimeSeriesDataset(t=t, y=y))
 
+    def test_ramsey_of_a_constant_trace_raises(self):
+        # the detrended spectrum is all zero: its peak is not above the floor
+        t = np.linspace(5e-6, 400e-6, 80)
+        with pytest.raises(FitFailureError, match="no spectral peak above the noise floor"):
+            estimate.fit_ramsey(TimeSeriesDataset(t=t, y=np.full(80, 0.5)))
+
     def test_noisy_fit_sigma_scales_with_noise(self):
         truth = {"A": 1.0, "T1": 100e-6, "C": 0.0}
         s1 = estimate.fit_exp_decay(
@@ -275,45 +281,29 @@ class TestWignerEllipticity:
             a, b, c = s_inv[0, 0], s_inv[1, 1], s_inv[0, 1]
             v_min, v_max = np.linalg.eigvalsh(np.linalg.inv(s_inv))
             r = v_max / v_min
-            eps, _ = estimate._ellipticity(a, b, c)
+            eps = estimate._ellipticity(a, b, c)
             assert eps == pytest.approx(2 * (r - 1) / (r + 1), rel=1e-9, abs=1e-15)
 
-    @pytest.mark.parametrize("abc", [(2.0, 1.0, 0.0), (1.0, 1.0, 0.3),
-                                     (0.9, 1.1, -0.2), (3.0, 0.5, 0.7)])
-    def test_gradient_matches_central_differences(self, abc):
-        _, grad = estimate._ellipticity(*abc)
-        for i in range(3):
-            up, down = np.array(abc), np.array(abc)
-            up[i] += 1e-6
-            down[i] -= 1e-6
-            fd = (estimate._ellipticity(*up)[0] - estimate._ellipticity(*down)[0]) / 2e-6
-            assert grad[i] == pytest.approx(fd, rel=1e-6, abs=1e-9)
+    # (|0> + e^{i pi/4}|1>)/sqrt(2) has Cov(x, p) != 0, which the vxp term carries
+    @pytest.mark.parametrize("psi", [
+        fock.superposition01(20), fock.fock_state(1, 20), fock.fock_state(3, 20),
+        (fock.fock_state(0, 20) + np.exp(1j * np.pi / 4) * fock.fock_state(1, 20))
+        / math.sqrt(2.0)], ids=["superposition01", "fock1", "fock3", "phase-pi/4"])
+    def test_moments_give_the_operator_variance_ratio(self, psi):
+        rho = fock.density(psi)
+        x, p = fock.quadrature(0.0, 20), fock.quadrature(np.pi / 2, 20)
 
-    def test_round_fit_has_no_gradient(self):
-        assert estimate._ellipticity(0.7, 0.7, 0.0) == (0.0, None)
+        def mean(op):
+            return float(np.real(np.trace(rho @ op)))
 
-    @pytest.mark.parametrize("q", [(0.3, 0.1, -0.2, 2.0, 1.5, 0.0),
-                                   (0.2, -0.3, 0.4, 1.2, 2.1, 0.5)])
-    def test_analytic_jacobian_matches_central_differences(self, monkeypatch, q):
-        seen = {}
-
-        def capture(fun, jac, x0):
-            seen["fun"], seen["jac"] = fun, jac
-            return fit(fun, jac, x0)
-
-        fit = estimate._levenberg_marquardt
-        monkeypatch.setattr(estimate, "_levenberg_marquardt", capture)
-        axis = np.linspace(-4.0, 4.0, 41)
-        estimate.ellipticity_from_wigner(fock.wigner(
-            fock.density(fock.superposition01(8)), axis, axis))
-        q = np.array(q)
-        jac = seen["jac"](q)
-        for i in range(6):
-            up, down = q.copy(), q.copy()
-            up[i] += 1e-6
-            down[i] -= 1e-6
-            fd = (seen["fun"](up) - seen["fun"](down)) / 2e-6
-            assert np.allclose(jac[:, i], fd, rtol=1e-6, atol=1e-9)
+        vxx, vpp = mean(x @ x) - mean(x) ** 2, mean(p @ p) - mean(p) ** 2
+        cov = mean((x @ p + p @ x) / 2) - mean(x) * mean(p)
+        v_min, v_max = np.linalg.eigvalsh([[vxx, cov], [cov, vpp]])
+        r = v_max / v_min
+        axis = np.linspace(-4.0, 4.0, 81)
+        eps, sigma = estimate.ellipticity_from_wigner(fock.wigner(rho, axis, axis))
+        assert eps == pytest.approx(2 * (r - 1) / (r + 1), abs=1e-5)
+        assert sigma == 0.0
 
     # 1e300: the cell area overflows, so the mass is inf; 1e156: the mass is
     # finite but x² overflows, so the second moments are 0 * inf = nan
