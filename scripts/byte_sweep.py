@@ -15,6 +15,14 @@ Prints one `<sha256>  <file>` line per output file, sorted by name, and one
 with `diff` on what this prints:
 
     PYTHONPATH=src python scripts/byte_sweep.py --out-dir sweep > sums.txt
+
+With `--against DIR`, the sweep of another checkout, it then prints, for each
+output file in both directories, the largest absolute and relative difference
+over the numbers at the same place (CSV cells, JSON values), and the count of
+other values that differ, so that a change that moves numbers at rounding
+level states its movement from one command:
+
+    PYTHONPATH=src python scripts/byte_sweep.py --out-dir new --against old
 """
 
 import argparse
@@ -22,6 +30,7 @@ import contextlib
 import hashlib
 import io
 import json
+import math
 import pathlib
 import shutil
 import sys
@@ -115,11 +124,63 @@ def run(out: pathlib.Path, name: str, argv: list) -> int:
     return code
 
 
+def _values(path: pathlib.Path) -> dict:
+    """The cells of a CSV or the leaf values of a JSON, keyed by place."""
+    text = path.read_text()
+    if path.suffix == ".csv":
+        return {(i, j): cell for i, line in enumerate(text.splitlines())
+                for j, cell in enumerate(line.split(","))}
+    flat = {}
+
+    def walk(key, value):
+        items = (value.items() if isinstance(value, dict)
+                 else enumerate(value) if isinstance(value, list) else None)
+        if items is None:
+            flat[key] = value
+        else:
+            for k, v in items:
+                walk(key + (k,), v)
+
+    walk((), json.loads(text))
+    return flat
+
+
+def _number(value):
+    """A CSV cell or JSON value as a float, or None if it is not a number."""
+    if isinstance(value, bool) or value is None:
+        return None
+    try:
+        return float(value)
+    except ValueError:
+        return None
+
+
+def compare(a: pathlib.Path, b: pathlib.Path) -> tuple[float, float, int]:
+    """(largest absolute, largest relative difference) over the numbers at
+    the same place in a and b, and the count of other places that differ."""
+    x, y = _values(a), _values(b)
+    worst_abs = worst_rel = 0.0
+    other = 0
+    for key in x.keys() | y.keys():
+        u, v = _number(x.get(key)), _number(y.get(key))
+        if u is None or v is None:
+            other += x.get(key) != y.get(key)
+        elif u != v and not (u != u and v != v):   # NaN equals NaN here
+            d = abs(u - v)
+            rel = d / max(abs(u), abs(v))
+            if not d < math.inf:   # NaN or inf against another value
+                d = rel = math.inf
+            worst_abs, worst_rel = max(worst_abs, d), max(worst_rel, rel)
+    return worst_abs, worst_rel, other
+
+
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--out-dir", default="byte_sweep_out")
     parser.add_argument("--dim", type=int, nargs="+", default=[12, 24, 34],
                         help="cutoffs of the simulate and wigner runs")
+    parser.add_argument("--against", type=pathlib.Path,
+                        help="the out-dir of another checkout's sweep, to compare with")
     args = parser.parse_args()
 
     out = pathlib.Path(args.out_dir)
@@ -133,6 +194,14 @@ def main() -> int:
     shutil.rmtree(out / "inputs")
     for path in sorted(out.iterdir()):
         print(f"{hashlib.sha256(path.read_bytes()).hexdigest()}  {path.name}")
+    if args.against is not None:
+        names = {p.name for p in out.iterdir()}
+        theirs = {p.name for p in args.against.iterdir()}
+        for name in sorted(names ^ theirs):
+            print(f"only in {out if name in names else args.against}  {name}")
+        for name in sorted(names & theirs):
+            d_abs, d_rel, other = compare(out / name, args.against / name)
+            print(f"abs {d_abs:.3g}  rel {d_rel:.3g}  other {other}  {name}")
     return 1 if failed else 0
 
 

@@ -33,7 +33,7 @@ def main() -> int:
     params = generators.ModelParams.from_dimensionless(
         omega_tau_g=args.omega_tau_g, beta_bar=1.0)
     model = generators.model("gup-markov", params, args.dim)
-    rhs = lambda rho, t: generators.gup_markov_rhs(rho, model)
+    rhs = lambda x, t: generators.gup_markov_rhs(x, model)
     tau = args.omega_tau_g
 
     cases = [

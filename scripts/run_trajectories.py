@@ -37,7 +37,7 @@ def main() -> int:
         sample_every=sample_every)
     ref = integrate.evolve(
         fock.density(psi0),
-        lambda rho, t: generators.gup_markov_rhs(rho, model),
+        lambda x, t: generators.gup_markov_rhs(x, model),
         args.t_end, args.dt, sample_every=sample_every)
 
     print(f"n_traj={args.n_traj}, budget 3/sqrt(n) = {3 / np.sqrt(args.n_traj):.4f}")

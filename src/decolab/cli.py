@@ -283,7 +283,7 @@ def _evolve(cfg: RunConfig, rho0: np.ndarray) -> integrate.EvolutionResult:
         return integrate.evolve_nonmarkov(rho0, m.params, cfg.t_end, cfg.dt,
                                           sample_every=cfg.sample_every)
     rhs = generators.breuer_rhs if cfg.model == "breuer" else generators.gup_markov_rhs
-    return integrate.evolve(rho0, lambda rho, t: rhs(rho, m), cfg.t_end,
+    return integrate.evolve(rho0, lambda x, t: rhs(x, m), cfg.t_end,
                             cfg.dt, sample_every=cfg.sample_every, omega=cfg.omega)
 
 

@@ -14,8 +14,17 @@ so a caller builds it once and no call looks it up again:
   so that it is the model's whole right-hand side,
 * anharmonic RWA Hamiltonian and its non-RWA variant.
 
-Every right-hand side is R * rho - c [A, [B, rho]] plus damping, with B = A
-or the memory operator, and is traceless and Hermitian for Hermitian input.
+Every right-hand side is -i [H_RWA, rho] - c [A, [B, rho]] plus damping,
+with B = A or the memory operator, and acts on the real form
+X = Re rho + Im rho of a Hermitian rho (``integrate.real_form``).  The
+generators preserve Hermiticity, so on that real space they are real maps
+(the coherence-vector picture of Alicki and Lendi, *Quantum Dynamical
+Semigroups and Applications*, 1987): with Δ_ab = E_a - E_b and B = Bᵣ + i Bᵢ,
+
+    X' = -Δ∘Xᵀ - c [A, [Bᵣ, X] + [Bᵢ, Xᵀ]] + gamma (a X aᵀ - ((m+n)/2)∘X),
+
+every product a real one, and the output is the real form of a Hermitian,
+traceless matrix for every real X.
 """
 
 from __future__ import annotations
@@ -91,13 +100,6 @@ class KernelSpec:
         if self.kind == "exponential" and not self.tau > 0:
             raise ValueError("exponential kernel requires tau > 0")
 
-    def f_dimless(self, u: np.ndarray, omega: float) -> np.ndarray:
-        """Kernel density in dimensionless time (u in omega*t units)."""
-        if self.kind == "delta":
-            raise ConfigError("delta kernel has no density; use the Markovian form")
-        tau = self.tau * omega
-        return np.exp(-np.abs(u) / tau) / (2.0 * tau)
-
 
 @dataclass(frozen=True)
 class ModelParams:
@@ -155,15 +157,12 @@ class ModelParams:
                    kappa=kappa, tau_c=tau_c, ap_hw=ap_hw,
                    kernel=kernel if kernel is not None else KernelSpec())
 
-    def with_kernel(self, kernel: KernelSpec) -> "ModelParams":
-        return replace(self, kernel=kernel)
-
 
 # -- cached operator builders -----------------------------------------------
 
 def _real(op: np.ndarray) -> np.ndarray:
-    """The real part of an array whose entries are real, read-only: real
-    products with it take half the flops of complex ones."""
+    """The real part of ``op``, contiguous and read-only: real products with
+    it take half the flops of complex ones."""
     out = np.ascontiguousarray(op.real)
     out.setflags(write=False)
     return out
@@ -210,6 +209,7 @@ class Model:
 
     levels: np.ndarray   # E_n of the diagonal H_RWA
     rates: np.ndarray    # R_ab = -i (E_a - E_b), so -i [H_RWA, rho] = R * rho
+    delta: np.ndarray    # Δ_ab = E_a - E_b, real: R = -i Δ
     op: np.ndarray       # A: K² or K, real and read-only
     c: float             # double-commutator rate
     gamma: float         # amplitude-damping rate
@@ -250,10 +250,12 @@ def model(name: str, params: ModelParams, dim: int) -> Model:
         c = 8.0 * params.ap_hw ** 2 * params.kappa * params.omega if params.kappa else 0.0
     else:
         raise ValueError(f"unknown model {name!r}; choose from {MODELS}")
-    rates = -1j * (levels[:, None] - levels[None, :])
-    levels.setflags(write=False)
-    rates.setflags(write=False)
-    return Model(levels, rates, op, c, params.gamma_dimless, g, kappa, tau, params)
+    delta = levels[:, None] - levels[None, :]
+    rates = -1j * delta
+    for array in (levels, rates, delta):
+        array.setflags(write=False)
+    return Model(levels, rates, delta, op, c, params.gamma_dimless, g, kappa, tau,
+                 params)
 
 
 def h_rwa(dim: int, beta_bar: float, ap_hw: float) -> np.ndarray:
@@ -267,60 +269,63 @@ def h_full(dim: int, beta_bar: float, ap_hw: float) -> np.ndarray:
             + 4.0 * ap_hw * beta_bar * _k2_op(dim))
 
 
-def _double_commutator(a: np.ndarray, b: np.ndarray, rho: np.ndarray,
-                       c: float) -> np.ndarray:
-    """c [A, [B, rho]] for real symmetric A and Hermitian B and rho, in two
-    products: with X = B rho, [B, rho] = X - X† = C; with Y = A C,
-    [A, C] = Y + Y†, which is Hermitian bit for bit.  A real operator
-    multiplies the interleaved (re, im) columns of the complex matrix's float
-    view, one real product in place of a complex one; B is real when it is A
-    and complex when it is M(t).
-    """
-    rho = np.ascontiguousarray(rho, dtype=complex)
-    x = b @ rho if np.iscomplexobj(b) else (b @ rho.view(float)).view(complex)
-    x -= x.conj().T
-    y = (a @ x.view(float)).view(complex)
-    y += y.conj().T
-    y *= c
+def _double_commutator(a: np.ndarray, inner: tuple, x: np.ndarray) -> np.ndarray:
+    """[A, [Bᵣ, X] + [Bᵢ, Xᵀ]], the real form of [A, [B, rho]] for real
+    symmetric A, B = Bᵣ + i Bᵢ and the real form X of a Hermitian rho, with
+    ``inner`` = (Bᵣ, Bᵢ) and Bᵢ None for a real B; every product is real."""
+    br, bi = inner
+    cx = br @ x
+    cx -= x @ br
+    if bi is not None:
+        xt = x.T
+        cx += bi @ xt
+        cx -= xt @ bi
+    y = a @ cx
+    y -= cx @ a
     return y
 
 
 def damping_rhs(rho: np.ndarray, gamma_dimless: float) -> np.ndarray:
     """Amplitude damping gamma (a rho a† - {N, rho}/2) in dimensionless time,
     with (a rho a†)[m, n] = (sqrt(m+1) rho[m+1, n+1]) sqrt(n+1) elementwise,
-    which rounds as the dense product does."""
+    which rounds as the dense product does.  a is real, so the same map
+    takes a complex rho or its real form, and keeps the input's dtype."""
     root, half = _damping_factors(rho.shape[0])
-    out = np.zeros_like(rho, dtype=complex)
+    out = np.zeros_like(rho)
     out[:-1, :-1] = (root[:, None] * rho[1:, 1:]) * root
     out -= half * rho
     out *= gamma_dimless
     return out
 
 
-def _lindblad_rhs(rho: np.ndarray, m: Model, inner: np.ndarray | None,
+def _lindblad_rhs(x: np.ndarray, m: Model, inner: tuple | None,
                   c: float) -> np.ndarray:
-    """R * rho - c [A, [B, rho]] plus damping, with B = ``inner``: every
-    model's right-hand side.  Damping is added last so that the generator
-    rounds as its terms' sum."""
-    out = m.rates * rho
+    """-Δ∘Xᵀ - c [A, [Bᵣ, X] + [Bᵢ, Xᵀ]] plus damping on the real form X, with
+    (Bᵣ, Bᵢ) = ``inner``: every model's right-hand side.  Damping is added
+    last so that the generator rounds as its terms' sum."""
     if c:
-        out -= _double_commutator(m.op, inner, rho, c)
+        out = _double_commutator(m.op, inner, x)
+        out *= -c
+        out -= x.T * m.delta
+    else:
+        out = x.T * m.delta.T   # Δᵀ = -Δ
     if m.gamma:
-        out += damping_rhs(rho, m.gamma)
+        out += damping_rhs(x, m.gamma)
     return out
 
 
-def gup_markov_rhs(rho: np.ndarray, model: Model) -> np.ndarray:
+def gup_markov_rhs(x: np.ndarray, model: Model) -> np.ndarray:
     """Right-hand side of the ``gup-markov`` (or ``damping-only``) description,
-    -i [H_RWA, rho] - (1/(omega tau_G)) [K², [K², rho]] + damping, for
-    Hermitian rho."""
-    return _lindblad_rhs(rho, model, model.op, model.c)
+    -i [H_RWA, rho] - (1/(omega tau_G)) [K², [K², rho]] + damping, on the real
+    form X of rho."""
+    return _lindblad_rhs(x, model, (model.op, None), model.c)
 
 
-def breuer_rhs(rho: np.ndarray, model: Model) -> np.ndarray:
+def breuer_rhs(x: np.ndarray, model: Model) -> np.ndarray:
     """Right-hand side of the ``breuer`` description,
-    -i [N, rho] - (tau_c omega / 2) [K, [K, rho]] + damping, for Hermitian rho."""
-    return _lindblad_rhs(rho, model, model.op, model.c)
+    -i [N, rho] - (tau_c omega / 2) [K, [K, rho]] + damping, on the real form X
+    of rho."""
+    return _lindblad_rhs(x, model, (model.op, None), model.c)
 
 
 def heisenberg_k2(h_prime: np.ndarray, s: float) -> np.ndarray:
@@ -363,18 +368,17 @@ def memory_operator(t: float, model: Model) -> np.ndarray:
 
 
 @lru_cache(maxsize=2)
-def _memory_operator_at(t: float, model: Model) -> np.ndarray:
-    """``memory_operator``, read-only and kept for the last two (t, model)
-    pairs: RK4's two midpoint stages share theirs."""
+def _memory_operator_at(t: float, model: Model) -> tuple[np.ndarray, np.ndarray]:
+    """(Re M, Im M) of ``memory_operator``, read-only and kept for the last two
+    (t, model) pairs: RK4's two midpoint stages share theirs."""
     m = memory_operator(t, model)
-    m.setflags(write=False)
-    return m
+    return _real(m), _real(m.imag)
 
 
-def gup_nonmarkov_rhs(rho: np.ndarray, t: float, model: Model) -> np.ndarray:
+def gup_nonmarkov_rhs(x: np.ndarray, t: float, model: Model) -> np.ndarray:
     """Time-convolutionless right-hand side of the ``gup-nonmarkov``
     description, -i [H_RWA, rho] - (2/(omega tau_G)) [K², [M(t), rho]] + damping,
-    for Hermitian rho.  M(t) is ``memory_operator``; the state under its
-    integral is rho(t) itself, so no history of rho enters."""
+    on the real form X of rho.  M(t) is ``memory_operator``; the state under
+    its integral is rho(t) itself, so no history of rho enters."""
     mem = _memory_operator_at(t, model) if model.c else None
-    return _lindblad_rhs(rho, model, mem, 2.0 * model.c)
+    return _lindblad_rhs(x, model, mem, 2.0 * model.c)

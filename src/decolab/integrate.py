@@ -1,7 +1,10 @@
 """Time evolution of density matrices, sampled on a fixed-step grid.
 
-Classical RK4 with per-step re-Hermitization and trace renormalization; the
-drift removed by those corrections is recorded so that long runs stay valid
+Classical RK4 on the real form X = Re rho + Im rho of the Hermitian state,
+with trace renormalization per step.  The generators preserve Hermiticity, so
+they map real forms to real forms with real products only, and rho comes back
+as (X + Xᵀ)/2 + i (X - Xᵀ)/2, Hermitian by construction; the trace drift
+removed by the renormalization is recorded, so that long runs stay valid
 while the error remains observable.  Problems at the parameter scales of
 interest are non-stiff, and fixed steps keep runs bit-reproducible.  For a
 constant generator, ``propagate_blocks`` samples the exact exp(L t) on the
@@ -22,7 +25,7 @@ from .exceptions import ConfigError, PositivityError
 from .generators import Model, ModelParams
 
 __all__ = ["EvolutionResult", "evolve", "evolve_nonmarkov", "propagate_blocks",
-           "parity_blocks", "observable", "default_dt"]
+           "parity_blocks", "observable", "default_dt", "real_form", "hermitian"]
 
 #: 200 steps per oscillator period; resolves the fastest interaction-picture
 #: phase (~4 omega) comfortably.
@@ -40,7 +43,9 @@ class EvolutionResult:
     states: np.ndarray               # (n_samples, dim, dim)
     omega: float = 1.0               # rad/s, for the seconds axis
     trace_drift: np.ndarray = field(default=None)   # |tr-1| before renorm, per sample
-    herm_drift: np.ndarray = field(default=None)    # max |rho - rho†| before fix
+    # max |rho - rho†| before the fix: 0 by construction on RK4's real form,
+    # measured on the exact blocks
+    herm_drift: np.ndarray = field(default=None)
     min_eigenvalue: np.ndarray = field(default=None)
     propagator: str = "rk4"          # rk4 | exact-blocks
 
@@ -102,6 +107,23 @@ def _sample_steps(t_end: float, dt: float, sample_every: int) -> list[int]:
     return steps if steps[-1] == n_steps else steps + [n_steps]
 
 
+def real_form(rho: np.ndarray) -> np.ndarray:
+    """X = Re rho + Im rho, the real form of a Hermitian rho: Re rho is
+    symmetric and Im rho antisymmetric, so X holds both, and X_nn = rho_nn."""
+    rho = np.asarray(rho)
+    return rho.real + rho.imag
+
+
+def hermitian(x: np.ndarray) -> np.ndarray:
+    """The Hermitian rho = S + i T of a real form X, with S = (X + Xᵀ)/2 and
+    T = (X - Xᵀ)/2; Hermitian bit for bit, with a real diagonal."""
+    rho = np.empty(x.shape, dtype=complex)
+    rho.real = x + x.T
+    rho.imag = x - x.T
+    rho *= 0.5
+    return rho
+
+
 def _corrected(rho: np.ndarray) -> np.ndarray:
     """rho re-Hermitized ((rho+rho†)/2) and renormalized to unit trace."""
     h = rho + rho.conj().T
@@ -110,10 +132,10 @@ def _corrected(rho: np.ndarray) -> np.ndarray:
     return h
 
 
-def _stage(rho: np.ndarray, h: float, k: np.ndarray) -> np.ndarray:
-    """rho + h k, as a fresh complex array."""
-    out = np.multiply(h, k, dtype=complex)
-    out += rho
+def _stage(x: np.ndarray, h: float, k: np.ndarray) -> np.ndarray:
+    """x + h k, as a fresh real array."""
+    out = np.multiply(h, k, dtype=float)
+    out += x
     return out
 
 
@@ -124,19 +146,17 @@ class _Samples:
     def __init__(self, rho0: np.ndarray, dt: float, omega: float):
         self.dt, self.omega = dt, omega
         self.times, self.states, self.tdrift, self.hdrift, self.mineig = [], [], [], [], []
-        self._record(0, np.asarray(rho0, dtype=complex), 0.0, 0.0)
+        self.record(0, np.asarray(rho0, dtype=complex), 0.0, 0.0)
 
-    def add(self, step: int, rho: np.ndarray) -> np.ndarray:
+    def add(self, step: int, rho: np.ndarray) -> None:
         """Record the drift that ``_corrected`` removes from rho, then the
-        corrected rho, which is returned."""
+        corrected rho."""
         trace_drift = abs(float(np.real(np.trace(rho))) - 1.0)
         herm_drift = float(np.max(np.abs(rho - rho.conj().T)))
-        rho = _corrected(rho)
-        self._record(step, rho, trace_drift, herm_drift)
-        return rho
+        self.record(step, _corrected(rho), trace_drift, herm_drift)
 
-    def _record(self, step: int, rho: np.ndarray, trace_drift: float,
-                herm_drift: float) -> None:
+    def record(self, step: int, rho: np.ndarray, trace_drift: float,
+               herm_drift: float) -> None:
         t = step * self.dt
         self.times.append(t)
         self.states.append(rho.copy())
@@ -163,38 +183,42 @@ class _Samples:
 def evolve(rho0: np.ndarray, rhs: Callable[[np.ndarray, float], np.ndarray],
            t_end: float, dt: float = default_dt, *, sample_every: int = 100,
            omega: float = 1.0) -> EvolutionResult:
-    """Integrate d rho/d(omega t) = rhs(rho, t) with classical RK4.
+    """Integrate d rho/d(omega t) = rhs(rho, t) with classical RK4 on the real
+    form X = ``real_form(rho)`` of the Hermitian rho0.
 
-    ``rhs`` is the whole right-hand side, called with dimensionless t.  After
-    every step rho is re-Hermitized ((rho+rho†)/2) and trace-renormalized; on
-    a sampled step the drift is recorded before correction.  Raises
-    PositivityError when a sampled state dips below ``POSITIVITY_FLOOR`` or
-    is not finite.
+    ``rhs`` is the whole right-hand side on the real form, called with a real
+    X and dimensionless t, and returns the real form of d rho/d(omega t): the
+    ``generators`` right-hand sides do; wrap a complex one ``f(rho, t)`` as
+    ``lambda x, t: real_form(f(hermitian(x), t))``.  After every step X is
+    renormalized to unit trace (tr rho = tr X); a sampled step records the
+    trace drift before that and rho = ``hermitian(X)``, whose Hermiticity
+    drift is 0 by construction.  Raises PositivityError when a sampled state
+    dips below ``POSITIVITY_FLOOR`` or is not finite.
     """
     steps = _sample_steps(t_end, dt, sample_every)
     sampled = set(steps)
-    rho = np.array(rho0, dtype=complex)
-    samples = _Samples(rho, dt, omega)
+    samples = _Samples(rho0, dt, omega)
+    x = real_form(rho0)
     half, sixth = 0.5 * dt, dt / 6.0
     for step in range(steps[-1]):
         t = step * dt
-        k1 = rhs(rho, t)
-        k2 = rhs(_stage(rho, half, k1), t + half)
-        k3 = rhs(_stage(rho, half, k2), t + half)
-        k4 = rhs(_stage(rho, dt, k3), t + dt)
-        # rho + dt/6 (((k1 + 2 k2) + 2 k3) + k4), accumulated in a fresh
+        k1 = rhs(x, t)
+        k2 = rhs(_stage(x, half, k1), t + half)
+        k3 = rhs(_stage(x, half, k2), t + half)
+        k4 = rhs(_stage(x, dt, k3), t + dt)
+        # x + dt/6 (((k1 + 2 k2) + 2 k3) + k4), accumulated in a fresh
         # array: the k belong to rhs and may be shared or read-only
-        s = np.multiply(2.0, k2, dtype=complex)
+        s = np.multiply(2.0, k2, dtype=float)
         s += k1
         s += 2.0 * k3
         s += k4
         s *= sixth
-        s += rho
-        rho = s
+        s += x
+        trace = s.trace()
+        s /= trace
+        x = s
         if step + 1 in sampled:
-            rho = samples.add(step + 1, rho)
-        else:
-            rho = _corrected(rho)
+            samples.record(step + 1, hermitian(x), abs(float(trace) - 1.0), 0.0)
     return samples.result("rk4")
 
 
@@ -281,5 +305,5 @@ def evolve_nonmarkov(rho0: np.ndarray, params: ModelParams, t_end: float,
         raise ConfigError("evolve_nonmarkov requires an exponential kernel")
     if dt > tau / 10.0:
         raise ConfigError(f"dt={dt:.3g} exceeds tau/10={tau / 10:.3g}; reduce the step")
-    return evolve(rho0, lambda rho, t: generators.gup_nonmarkov_rhs(rho, t, model),
+    return evolve(rho0, lambda x, t: generators.gup_nonmarkov_rhs(x, t, model),
                   t_end, dt, sample_every=sample_every, omega=params.omega)

@@ -169,8 +169,9 @@ class TestSimulate:
                                                         rel=1e-10, abs=1e-15)
 
     def test_rk4_above_the_block_limit_keeps_its_bytes(self, tmp_path):
-        # dim 33 without damping has parity blocks of order 289; RK4 with the
-        # four-product double commutator is the reference, byte for byte
+        # dim 33 without damping has parity blocks of order 289; RK4 on the
+        # real form X with the four-product double commutator,
+        # -Δ∘Xᵀ - c [K², [K², X]], is the reference, byte for byte
         dim = 33
         cfg = write_config(
             tmp_path, model="gup-markov", dim=dim, initial_state="superposition01",
@@ -180,11 +181,11 @@ class TestSimulate:
         assert main(["simulate", "--config", cfg]) == 0
         params = RunConfig.from_file(cfg).model_params()
         m = generators.model("gup-markov", params, dim)
-        rates, k2, c = m.rates, m.op, m.c
+        delta, k2, c = m.levels[:, None] - m.levels[None, :], m.op, m.c
         comm = lambda a, b: a @ b - b @ a
         ref = integrate.evolve(
             fock.density(fock.superposition01(dim)),
-            lambda rho, t: rates * rho - c * comm(k2, comm(k2, rho)), 0.5, 0.05,
+            lambda x, t: comm(k2, comm(k2, x)) * -c - x.T * delta, 0.5, 0.05,
             sample_every=3)
         ref.to_csv(tmp_path / "ref.csv", ["rho_00", "abs_rho_01", "re_rho_02",
                                           "im_rho_13"])

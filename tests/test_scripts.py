@@ -46,3 +46,35 @@ def test_module_entry_point_runs_without_warnings(tmp_path):
                           timeout=300)
     assert proc.returncode == 0 and proc.stderr == ""
     assert "gup" in json.loads(proc.stdout)
+
+
+def test_byte_sweep_against_reports_the_largest_differences(tmp_path):
+    proc = run_script("byte_sweep.py", "--out-dir", "old", "--dim", "5", cwd=tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    old = tmp_path / "old"
+    # one CSV cell 1e-6 off relative, one JSON number 0.5 off absolute, one
+    # string changed, one file only in the new sweep
+    csv = old / "analytic-breuer-g0.03.csv"
+    lines = csv.read_text().splitlines()
+    cells = lines[1].split(",")
+    cells[-1] = repr(float(cells[-1]) * (1.0 + 1e-6))
+    lines[1] = ",".join(cells)
+    csv.write_text("\n".join(lines) + "\n")
+    js = old / "bounds-paper.json"
+    data = json.loads(js.read_text())
+    data["breuer"]["gamma_inv"]["value"] += 0.5
+    data["breuer"]["gamma_inv"]["unit"] = "ms"
+    js.write_text(json.dumps(data))
+    (old / "fit-exp-sigma.json").unlink()
+    proc = run_script("byte_sweep.py", "--out-dir", "new", "--dim", "5",
+                      "--against", "old", cwd=tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    report = {line.split()[-1]: line.split()[:-1] for line in proc.stdout.splitlines()
+              if line.startswith(("abs ", "only in "))}
+    assert report["fit-exp-sigma.json"] == ["only", "in", "new"]
+    d_abs, d_rel, other = (float(report["analytic-breuer-g0.03.csv"][i]) for i in (1, 3, 5))
+    assert other == 0 and d_rel == pytest.approx(1e-6, rel=1e-3)
+    d_abs, d_rel, other = (float(report["bounds-paper.json"][i]) for i in (1, 3, 5))
+    assert other == 1 and d_abs == pytest.approx(0.5)
+    unchanged = report["simulate-breuer-g0-sup01-d5.csv"]
+    assert unchanged == ["abs", "0", "rel", "0", "other", "0"]
