@@ -33,7 +33,6 @@ __all__ = [
     "damping_series_element",
     "ground_state_variance",
     "deformed_ground_variances",
-    "DeformationInputs",
     "VALIDITY_LIMIT",
 ]
 
@@ -257,15 +256,3 @@ def deformed_ground_variances(beta_bar: float, ap_hw: float, dim: int = 40):
         out.append(float(np.real(gs.conj() @ q @ q @ gs) - mean ** 2))
     return tuple(out)
 
-
-@dataclass(frozen=True)
-class DeformationInputs:
-    """Measured ellipticity with the device scales needed for bounds."""
-
-    epsilon: float   # dimensionless ground-state ellipticity
-    x0: float        # zero-point fluctuation (m)
-    ap_hw: float     # dimensionless a_P hbar omega
-
-    def __post_init__(self):
-        if not 0.0 <= self.epsilon < 2.0:
-            raise ValueError("epsilon must be in [0, 2)")

@@ -256,9 +256,10 @@ EXACT_BLOCK_LIMIT = 256
 RK4_REAL_LIMIT = 2.78
 
 
-def _check_rk4_step(cfg: RunConfig, m: generators.Model) -> None:
+def _check_rk4_step(cfg: RunConfig, m: generators.Model) -> float:
     """Exit 2 rather than blow up when dt is past RK4's stability limit for
-    the model's double commutator and damping, whatever the state."""
+    the model's double commutator and damping, whatever the state; else
+    return their stiffness."""
     a = np.linalg.eigvalsh(m.op)
     stiffness = m.c * (a[-1] - a[0]) ** 2 + m.gamma * (cfg.dim - 1)
     if cfg.dt * stiffness > RK4_REAL_LIMIT:
@@ -266,25 +267,28 @@ def _check_rk4_step(cfg: RunConfig, m: generators.Model) -> None:
             f"dt={cfg.dt:.6g} is past RK4's stability limit: dt (c (a_max - a_min)² "
             f"+ gamma (dim - 1)) = {cfg.dt * stiffness:.3g} > {RK4_REAL_LIMIT}; "
             f"take dt <= {RK4_REAL_LIMIT / stiffness:.3g}")
+    return stiffness
 
 
 def _evolve(cfg: RunConfig, rho0: np.ndarray) -> integrate.EvolutionResult:
     """Evolve rho0 to t_end under the model's description: the one place a
     model picks its generator, from ``generators`` at call time rather than at
     import, and the one place a constant generator picks the exact block
-    propagator over RK4."""
+    propagator over RK4, where it leaves its phases to ``evolve``'s exact
+    rotation."""
     m = generators.model(cfg.model, cfg.model_params(), cfg.dim)
     blocks = integrate.parity_blocks(cfg.dim, damped=bool(m.gamma))
     if cfg.model != "gup-nonmarkov" and max(map(len, blocks)) <= EXACT_BLOCK_LIMIT:
         return integrate.propagate_blocks(rho0, m, cfg.t_end, cfg.dt,
                                           sample_every=cfg.sample_every)
-    _check_rk4_step(cfg, m)
+    stiffness = _check_rk4_step(cfg, m)
     if cfg.model == "gup-nonmarkov":
         return integrate.evolve_nonmarkov(rho0, m.params, cfg.t_end, cfg.dt,
                                           sample_every=cfg.sample_every)
     rhs = generators.breuer_rhs if cfg.model == "breuer" else generators.gup_markov_rhs
-    return integrate.evolve(rho0, lambda x, t: rhs(x, m), cfg.t_end,
-                            cfg.dt, sample_every=cfg.sample_every, omega=cfg.omega)
+    return integrate.evolve(rho0, lambda x, t: rhs(x, m, phases=False), cfg.t_end,
+                            cfg.dt, sample_every=cfg.sample_every, omega=cfg.omega,
+                            phases=m.delta, reach=m.phase_spread + stiffness)
 
 
 def cmd_simulate(cfg: RunConfig) -> int:
@@ -308,6 +312,8 @@ def cmd_simulate(cfg: RunConfig) -> int:
             # the largest weight in the top four Fock levels over all samples
             "edge_population": float(np.max(np.real(np.diagonal(
                 result.states, axis1=1, axis2=2)[:, -4:]).sum(axis=1))),
+            # RK4's step; the exact blocks take none
+            **({} if result.step is None else {"step": result.step}),
         },
     })
     return 0
@@ -356,8 +362,10 @@ def cmd_analytic(cfg: RunConfig) -> int:
 
 def cmd_wigner(cfg: RunConfig) -> int:
     rho = fock.density(cfg.parse_state(cfg.dim))
+    step = None
     if cfg.t_end > 0:
-        rho = _evolve(cfg, rho).states[-1]
+        result = _evolve(cfg, rho)
+        rho, step = result.states[-1], result.step
     axis = np.linspace(-cfg.grid_halfwidth, cfg.grid_halfwidth, cfg.grid_points)
     grid = fock.wigner(rho, axis, axis)
     if cfg.csv_out:
@@ -371,6 +379,7 @@ def cmd_wigner(cfg: RunConfig) -> int:
         "config": cfg.resolved(),
         "captured_mass": grid.captured_mass,
         "ellipticity": {"value": eps, "sigma": eps_sigma},
+        **({} if step is None else {"diagnostics": {"step": step}}),
     })
     return 0
 

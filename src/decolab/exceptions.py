@@ -21,11 +21,6 @@ class ConfigError(DecolabError, ValueError):
 class PositivityError(DecolabError, RuntimeError):
     """Evolved density matrix lost positivity beyond tolerance."""
 
-    def __init__(self, message, step=None, min_eigenvalue=None):
-        super().__init__(message)
-        self.step = step
-        self.min_eigenvalue = min_eigenvalue
-
 
 class ModelInconsistencyError(DecolabError, ValueError):
     """Measured (T1, T2) are incompatible with the rate model."""

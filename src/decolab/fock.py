@@ -28,11 +28,9 @@ __all__ = [
     "fock_state",
     "superposition01",
     "density",
-    "validate_density_matrix",
     "trace_distance",
     "WignerGrid",
     "wigner",
-    "position_density",
 ]
 
 
@@ -102,25 +100,6 @@ def density(psi: np.ndarray) -> np.ndarray:
     """Pure-state density matrix |psi><psi|."""
     psi = np.asarray(psi, dtype=complex)
     return _frozen(np.outer(psi, psi.conj()))
-
-
-def validate_density_matrix(rho: np.ndarray, *, trace_tol: float = 1e-9,
-                            herm_tol: float = 1e-9, eig_tol: float = 1e-7) -> None:
-    """Raise ValueError unless rho is unit-trace, Hermitian and positive.
-
-    Positivity is enforced only up to -eig_tol to accommodate integrator noise.
-    """
-    rho = np.asarray(rho)
-    if rho.ndim != 2 or rho.shape[0] != rho.shape[1] or rho.shape[0] < 2:
-        raise ConfigError(f"density matrix must be square with dim >= 2, got {rho.shape}")
-    tr = np.trace(rho)
-    if abs(tr - 1.0) > trace_tol:
-        raise ValueError(f"trace {tr} deviates from 1 beyond {trace_tol}")
-    if np.max(np.abs(rho - rho.conj().T)) > herm_tol:
-        raise ValueError("density matrix is not Hermitian within tolerance")
-    lo = np.linalg.eigvalsh(rho)[0]
-    if lo < -eig_tol:
-        raise ValueError(f"smallest eigenvalue {lo} below -{eig_tol}")
 
 
 def trace_distance(rho: np.ndarray, sigma: np.ndarray) -> float:
@@ -206,21 +185,3 @@ def wigner(rho: np.ndarray, x: np.ndarray, p: np.ndarray) -> WignerGrid:
     return WignerGrid(x=_frozen(x.copy()), p=_frozen(p.copy()),
                       values=_frozen(values), captured_mass=mass)
 
-
-def position_density(rho: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """Position distribution <x|rho|x> from Hermite-function wavefunctions.
-
-    Uses the same quadrature units as ``wigner`` (vacuum variance 1/2); serves
-    as an independent check of the Wigner marginal.
-    """
-    rho = np.asarray(rho, dtype=complex)
-    dim = rho.shape[0]
-    x = np.asarray(x, dtype=float)
-    psi = np.zeros((dim, len(x)))
-    psi[0] = np.pi ** -0.25 * np.exp(-0.5 * x ** 2)
-    if dim > 1:
-        psi[1] = math.sqrt(2.0) * x * psi[0]
-    for n in range(2, dim):
-        psi[n] = (math.sqrt(2.0 / n) * x * psi[n - 1]
-                  - math.sqrt((n - 1) / n) * psi[n - 2])
-    return np.real(np.einsum("mx,mn,nx->x", psi, rho, psi))

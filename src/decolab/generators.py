@@ -230,6 +230,16 @@ class Model:
         z = 1.0 - self.tau * self.rates
         return z, 2.0 * z
 
+    @cached_property
+    def phase_spread(self) -> float:
+        """The largest |Δ_ab - Δ_a'b'| over the elements that the double
+        commutator and damping couple, bounded by 2 max |E_i - E_j| over
+        |i - j| up to A's bandwidth (4 for K, 8 for K² at harmonic levels)."""
+        rows, cols = np.nonzero(self.op)
+        band, e = int(np.max(np.abs(rows - cols))), self.levels
+        return 2.0 * max(float(np.max(np.abs(e[k:] - e[:-k])))
+                         for k in range(1, band + 1))
+
 
 @lru_cache(maxsize=32)
 def model(name: str, params: ModelParams, dim: int) -> Model:
@@ -299,33 +309,35 @@ def damping_rhs(rho: np.ndarray, gamma_dimless: float) -> np.ndarray:
 
 
 def _lindblad_rhs(x: np.ndarray, m: Model, inner: tuple | None,
-                  c: float) -> np.ndarray:
+                  c: float, phases: bool = True) -> np.ndarray:
     """-Δ∘Xᵀ - c [A, [Bᵣ, X] + [Bᵢ, Xᵀ]] plus damping on the real form X, with
-    (Bᵣ, Bᵢ) = ``inner``: every model's right-hand side.  Damping is added
-    last so that the generator rounds as its terms' sum."""
+    (Bᵣ, Bᵢ) = ``inner``: every model's right-hand side, without its phases
+    -Δ∘Xᵀ when ``phases`` is false.  Damping is added last so that the
+    generator rounds as its terms' sum."""
     if c:
         out = _double_commutator(m.op, inner, x)
         out *= -c
-        out -= x.T * m.delta
+        if phases:
+            out -= x.T * m.delta
     else:
-        out = x.T * m.delta.T   # Δᵀ = -Δ
+        out = x.T * m.delta.T if phases else np.zeros_like(x)   # Δᵀ = -Δ
     if m.gamma:
         out += damping_rhs(x, m.gamma)
     return out
 
 
-def gup_markov_rhs(x: np.ndarray, model: Model) -> np.ndarray:
+def gup_markov_rhs(x: np.ndarray, model: Model, *, phases: bool = True) -> np.ndarray:
     """Right-hand side of the ``gup-markov`` (or ``damping-only``) description,
     -i [H_RWA, rho] - (1/(omega tau_G)) [K², [K², rho]] + damping, on the real
-    form X of rho."""
-    return _lindblad_rhs(x, model, (model.op, None), model.c)
+    form X of rho; without -i [H_RWA, rho] when ``phases`` is false."""
+    return _lindblad_rhs(x, model, (model.op, None), model.c, phases)
 
 
-def breuer_rhs(x: np.ndarray, model: Model) -> np.ndarray:
+def breuer_rhs(x: np.ndarray, model: Model, *, phases: bool = True) -> np.ndarray:
     """Right-hand side of the ``breuer`` description,
     -i [N, rho] - (tau_c omega / 2) [K, [K, rho]] + damping, on the real form X
-    of rho."""
-    return _lindblad_rhs(x, model, (model.op, None), model.c)
+    of rho; without -i [N, rho] when ``phases`` is false."""
+    return _lindblad_rhs(x, model, (model.op, None), model.c, phases)
 
 
 def heisenberg_k2(h_prime: np.ndarray, s: float) -> np.ndarray:

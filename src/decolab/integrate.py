@@ -5,14 +5,16 @@ with trace renormalization per step.  The generators preserve Hermiticity, so
 they map real forms to real forms with real products only, and rho comes back
 as (X + Xᵀ)/2 + i (X - Xᵀ)/2, Hermitian by construction; the trace drift
 removed by the renormalization is recorded, so that long runs stay valid
-while the error remains observable.  Problems at the parameter scales of
-interest are non-stiff, and fixed steps keep runs bit-reproducible.  For a
-constant generator, ``propagate_blocks`` samples the exact exp(L t) on the
-same grid, one parity block of L at a time.
+while the error remains observable.  Fixed steps keep runs bit-reproducible.
+Given the phases -Δ∘Xᵀ of a constant generator, ``evolve`` takes Lawson's
+integrating-factor RK4, which rotates them exactly and steps only the rest.
+``propagate_blocks`` samples the exact exp(L t) on the same grid, one parity
+block of L at a time.
 """
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
@@ -27,9 +29,14 @@ from .generators import Model, ModelParams
 __all__ = ["EvolutionResult", "evolve", "evolve_nonmarkov", "propagate_blocks",
            "parity_blocks", "observable", "default_dt", "real_form", "hermitian"]
 
-#: 200 steps per oscillator period; resolves the fastest interaction-picture
-#: phase (~4 omega) comfortably.
+#: 200 steps per oscillator period: plain RK4 steps the phases, up to
+#: (dim - 1) omega; Lawson's step rotates them exactly (``evolve``)
 default_dt = 2.0 * np.pi / 200.0
+
+#: the largest h reach of Lawson's step (``evolve``), set by a sweep of the
+#: constant models (tests/test_cli.py::TestLawsonSweep): at 0.435, breuer at
+#: dim 12, omega tau_D 100 takes h = 2 dt and is 1.6e-9 off at omega t 200
+LAWSON_STEP_LIMIT = 0.42
 
 #: a sampled state whose smallest eigenvalue falls below this has lost positivity
 POSITIVITY_FLOOR = -1e-6
@@ -48,6 +55,7 @@ class EvolutionResult:
     herm_drift: np.ndarray = field(default=None)
     min_eigenvalue: np.ndarray = field(default=None)
     propagator: str = "rk4"          # rk4 | exact-blocks
+    step: float | None = None        # the step RK4 took; None on the exact blocks
 
     def expect(self, name: str) -> np.ndarray:
         f = observable(name)
@@ -133,7 +141,10 @@ def _corrected(rho: np.ndarray) -> np.ndarray:
 
 
 def _stage(x: np.ndarray, h: float, k: np.ndarray) -> np.ndarray:
-    """x + h k, as a fresh real array."""
+    """x + h k, as a fresh real array; a complex k breaks ``evolve``'s contract."""
+    if k.dtype.kind == "c":
+        raise TypeError(f"rhs returned {k.dtype}; it must return a real form: wrap "
+                        f"a complex f(rho, t) as real_form(f(hermitian(x), t))")
     out = np.multiply(h, k, dtype=float)
     out += x
     return out
@@ -163,63 +174,112 @@ class _Samples:
         self.tdrift.append(trace_drift)
         self.hdrift.append(herm_drift)
         if not np.all(np.isfinite(rho)):
-            raise PositivityError(f"state is not finite at omega*t={t:.6g}",
-                                  step=len(self.times) - 1, min_eigenvalue=np.nan)
+            raise PositivityError(f"state is not finite at omega*t={t:.6g}")
         lo = float(np.linalg.eigvalsh(rho)[0])
         self.mineig.append(lo)
         if lo < POSITIVITY_FLOOR:
             raise PositivityError(
-                f"state lost positivity at omega*t={t:.6g} (min eig {lo:.3e})",
-                step=len(self.times) - 1, min_eigenvalue=lo)
+                f"state lost positivity at omega*t={t:.6g} (min eig {lo:.3e})")
 
-    def result(self, propagator: str) -> EvolutionResult:
+    def result(self, propagator: str, step: float | None = None) -> EvolutionResult:
         return EvolutionResult(
             times_omega=np.array(self.times), states=np.array(self.states),
             omega=self.omega, trace_drift=np.array(self.tdrift),
             herm_drift=np.array(self.hdrift), min_eigenvalue=np.array(self.mineig),
-            propagator=propagator)
+            propagator=propagator, step=step)
 
 
 def evolve(rho0: np.ndarray, rhs: Callable[[np.ndarray, float], np.ndarray],
            t_end: float, dt: float = default_dt, *, sample_every: int = 100,
-           omega: float = 1.0) -> EvolutionResult:
+           omega: float = 1.0, phases: np.ndarray | None = None,
+           reach: float = math.inf) -> EvolutionResult:
     """Integrate d rho/d(omega t) = rhs(rho, t) with classical RK4 on the real
     form X = ``real_form(rho)`` of the Hermitian rho0.
 
     ``rhs`` is the whole right-hand side on the real form, called with a real
     X and dimensionless t, and returns the real form of d rho/d(omega t): the
     ``generators`` right-hand sides do; wrap a complex one ``f(rho, t)`` as
-    ``lambda x, t: real_form(f(hermitian(x), t))``.  After every step X is
-    renormalized to unit trace (tr rho = tr X); a sampled step records the
-    trace drift before that and rho = ``hermitian(X)``, whose Hermiticity
-    drift is 0 by construction.  Raises PositivityError when a sampled state
-    dips below ``POSITIVITY_FLOOR`` or is not finite.
+    ``lambda x, t: real_form(f(hermitian(x), t))``.  A complex return is a
+    TypeError, and a rho0 that is not Hermitian a ValueError.
+
+    With real ``phases`` = Δ of rho0's shape, ``_lawson`` steps -Δ∘Xᵀ + rhs
+    at h = m dt, for the largest divisor m of every sample interval (in
+    steps of dt) with h ``reach`` <= ``LAWSON_STEP_LIMIT``, and m >= 1:
+    ``reach`` is rhs's largest rate plus the largest difference of Δ between
+    elements that rhs couples (the default, inf, keeps h = dt).  dt then sets
+    only the grid and the least h.
+
+    After every step X is renormalized to unit trace (tr rho = tr X); a
+    sampled step records the trace drift before that and rho =
+    ``hermitian(X)``, Hermitian by construction.  ``step`` of the result is
+    h.  Raises PositivityError when a sampled state dips below
+    ``POSITIVITY_FLOOR`` or is not finite.
     """
     steps = _sample_steps(t_end, dt, sample_every)
     sampled = set(steps)
-    samples = _Samples(rho0, dt, omega)
+    if not np.allclose(rho0, np.conj(rho0).T, rtol=0.0, atol=1e-12):
+        raise ValueError("rho0 must be Hermitian: its real form holds only a "
+                         "Hermitian rho")
     x = real_form(rho0)
-    half, sixth = 0.5 * dt, dt / 6.0
-    for step in range(steps[-1]):
-        t = step * dt
+    samples = _Samples(rho0, dt, omega)
+    stride, advance = 1, _rk4(rhs, dt)
+    if phases is not None:
+        phases = np.asarray(phases)
+        if phases.dtype.kind not in "iuf":
+            raise TypeError(f"phases must be a real array, got {phases.dtype}")
+        if phases.shape != x.shape:
+            raise ValueError(f"phases must have the state's shape {x.shape}, "
+                             f"got {phases.shape}")
+        gap = math.gcd(*np.diff(steps).tolist())
+        stride = int(min(gap, max(1, LAWSON_STEP_LIMIT / (dt * reach)))) if reach else gap
+        while gap % stride:
+            stride -= 1
+        advance = _lawson(rhs, stride * dt, phases)
+    for step in range(0, steps[-1], stride):
+        x = advance(x, step * dt)
+        trace = x.trace()
+        x /= trace
+        if step + stride in sampled:
+            samples.record(step + stride, hermitian(x), abs(float(trace) - 1.0), 0.0)
+    return samples.result("rk4", stride * dt)
+
+
+def _rk4(rhs, h: float):
+    """One classical RK4 step of rhs, before renormalization."""
+    half, sixth = 0.5 * h, h / 6.0
+
+    def advance(x, t):
         k1 = rhs(x, t)
         k2 = rhs(_stage(x, half, k1), t + half)
         k3 = rhs(_stage(x, half, k2), t + half)
-        k4 = rhs(_stage(x, dt, k3), t + dt)
-        # x + dt/6 (((k1 + 2 k2) + 2 k3) + k4), accumulated in a fresh
-        # array: the k belong to rhs and may be shared or read-only
-        s = np.multiply(2.0, k2, dtype=float)
-        s += k1
-        s += 2.0 * k3
-        s += k4
-        s *= sixth
-        s += x
-        trace = s.trace()
-        s /= trace
-        x = s
-        if step + 1 in sampled:
-            samples.record(step + 1, hermitian(x), abs(float(trace) - 1.0), 0.0)
-    return samples.result("rk4")
+        k4 = rhs(_stage(x, h, k3), t + h)
+        return (((2.0 * k2 + k1) + 2.0 * k3) + k4) * sixth + x
+
+    return advance
+
+
+def _lawson(rhs, h: float, delta: np.ndarray):
+    """Lawson's integrating-factor RK4 step (SIAM J. Numer. Anal. 4, 372,
+    1967) of -Δ∘Xᵀ + N(X), N = rhs, before renormalization: with E the exact
+    phase rotation X -> cos(h Δ/2)∘X - sin(h Δ/2)∘Xᵀ over h/2,
+        x_a = E x,  k1 = E N(x),  n2 = N(x_a + h/2 k1),  n3 = N(x_a + h/2 n2),
+        n4 = N(E (x_a + h n3)),  x+ = E (x_a + h/6 (k1 + 2 n2 + 2 n3)) + h/6 n4.
+    """
+    half, sixth = 0.5 * h, h / 6.0
+    cos, sin = np.cos(half * delta), np.sin(half * delta)
+
+    def rotate(x):
+        return cos * x - sin * x.T
+
+    def advance(x, t):
+        xa = rotate(x)
+        k1 = rotate(rhs(x, t))
+        n2 = rhs(_stage(xa, half, k1), t + half)
+        n3 = rhs(_stage(xa, half, n2), t + half)
+        n4 = rhs(rotate(_stage(xa, h, n3)), t + h)
+        return rotate(((k1 + 2.0 * n2) + 2.0 * n3) * sixth + xa) + sixth * n4
+
+    return advance
 
 
 def parity_blocks(dim: int, damped: bool) -> list[np.ndarray]:

@@ -44,10 +44,6 @@ class NoisePath:
 
     dt: float
     increments: np.ndarray
-    kind: str
-    tau: float
-    seed: int
-    stream: int
 
 
 def _rng(seed: int, stream: int) -> np.random.Generator:
@@ -84,7 +80,7 @@ def sample_noise(kind: str, kappa_dimless: float, tau: float, dt: float,
             val = val * decay + kick
         inc = np.array(x) * dt
     inc.setflags(write=False)
-    return NoisePath(dt=dt, increments=inc, kind=kind, tau=tau, seed=seed, stream=stream)
+    return NoisePath(dt=dt, increments=inc)
 
 
 def evolve_trajectory(psi0: np.ndarray, model: Model, noise: NoisePath,

@@ -244,10 +244,6 @@ class TestGroundStateDeformation:
         assert sorted([vx, vp]) == pytest.approx(
             sorted([0.5 - eps / 4, 0.5 + eps / 4]), abs=1e-6)
 
-    def test_inputs_validation(self):
-        with pytest.raises(ValueError):
-            analytic.DeformationInputs(epsilon=-0.1, x0=1e-19, ap_hw=1e-33)
-
 
 class TestEnergyLevels:
     def test_harmonic_limit(self):

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.linalg import expm
 
 from decolab import analytic, cli, estimate, fock, generators, integrate, trajectories
 from decolab.cli import MODELS, RunConfig, main
@@ -108,6 +109,30 @@ class TestConfigFile:
         assert cfg.ap_hw == pytest.approx(1.5e-33)
 
 
+def lawson_reference(rho0, dissipator, delta, n_steps, stride, dt, every):
+    """Integrating-factor RK4 on the real form X, in ``evolve``'s operation
+    order, at h = stride dt: E X = cos(h Δ/2)∘X - sin(h Δ/2)∘Xᵀ rotates the
+    phases -Δ∘Xᵀ exactly, N = ``dissipator`` is stepped, and X / tr X after
+    every step; samples after every ``every`` steps of dt and the last."""
+    h = stride * dt
+    cos, sin = np.cos(0.5 * h * delta), np.sin(0.5 * h * delta)
+    rot = lambda x: cos * x - sin * x.T
+    x = rho0.real + rho0.imag
+    times, states = [0.0], [np.asarray(rho0, dtype=complex)]
+    for step in range(stride, n_steps + 1, stride):
+        xa = rot(x)
+        k1 = rot(dissipator(x))
+        n2 = dissipator(0.5 * h * k1 + xa)
+        n3 = dissipator(0.5 * h * n2 + xa)
+        n4 = dissipator(rot(h * n3 + xa))
+        x = rot(((k1 + 2.0 * n2) + 2.0 * n3) * (h / 6.0) + xa) + (h / 6.0) * n4
+        x = x / np.trace(x)
+        if step % every == 0 or step == n_steps:
+            times.append(step * dt)
+            states.append(0.5 * (x + x.T) + 1j * (0.5 * (x - x.T)))
+    return integrate.EvolutionResult(np.array(times), np.array(states))
+
+
 class TestSimulate:
     def test_damping_only_matches_closed_form(self, tmp_path):
         out = tmp_path / "sim.json"
@@ -164,29 +189,37 @@ class TestSimulate:
         assert main(["simulate", "--config", cfg]) == 0
         diag = json.loads((tmp_path / "s.json").read_text())["diagnostics"]
         assert diag["propagator"] == propagator
+        # the step taken, on RK4 only: 2 dt would pass its limit here
+        assert diag.get("step") == (0.05 if propagator == "rk4" else None)
         edge = np.loadtxt(tmp_path / "s.csv", delimiter=",", skiprows=1)[:, 2:]
         assert diag["edge_population"] == pytest.approx(np.max(edge.sum(axis=1)),
                                                         rel=1e-10, abs=1e-15)
 
     def test_rk4_above_the_block_limit_keeps_its_bytes(self, tmp_path):
-        # dim 33 without damping has parity blocks of order 289; RK4 on the
-        # real form X with the four-product double commutator,
-        # -Δ∘Xᵀ - c [K², [K², X]], is the reference, byte for byte
-        dim = 33
+        # dim 33 without damping has parity blocks of order 289; Lawson's
+        # step on the real form X, with the exact rotation of -Δ∘Xᵀ and the
+        # four-product double commutator -c [K², [K², X]] written out here,
+        # is the reference, byte for byte
+        dim, dt, t_end, every = 33, 0.01, 0.1, 4
         cfg = write_config(
             tmp_path, model="gup-markov", dim=dim, initial_state="superposition01",
-            omega_tau_g=5e4, beta_bar=1.0, ap_hw=1e-3, t_end=0.5, dt=0.05,
-            sample_every=3, observables="rho_00,abs_rho_01,re_rho_02,im_rho_13",
+            omega_tau_g=5e4, beta_bar=1.0, ap_hw=1e-3, t_end=t_end, dt=dt,
+            sample_every=every, observables="rho_00,abs_rho_01,re_rho_02,im_rho_13",
             csv_out=str(tmp_path / "cli.csv"), json_out=str(tmp_path / "s.json"))
         assert main(["simulate", "--config", cfg]) == 0
-        params = RunConfig.from_file(cfg).model_params()
-        m = generators.model("gup-markov", params, dim)
+        run = RunConfig.from_file(cfg)
+        m = generators.model("gup-markov", run.model_params(), dim)
+        # samples after steps 4, 8 and 10: the step divides 2 intervals
+        reach = m.phase_spread + cli._check_rk4_step(run, m)
+        stride = max(k for k in (1, 2) if k * dt * reach <= integrate.LAWSON_STEP_LIMIT)
+        assert stride == 2
+        diag = json.loads((tmp_path / "s.json").read_text())["diagnostics"]
+        assert diag["propagator"] == "rk4" and diag["step"] == stride * dt
         delta, k2, c = m.levels[:, None] - m.levels[None, :], m.op, m.c
         comm = lambda a, b: a @ b - b @ a
-        ref = integrate.evolve(
-            fock.density(fock.superposition01(dim)),
-            lambda x, t: comm(k2, comm(k2, x)) * -c - x.T * delta, 0.5, 0.05,
-            sample_every=3)
+        ref = lawson_reference(fock.density(fock.superposition01(dim)),
+                               lambda x: comm(k2, comm(k2, x)) * -c, delta,
+                               10, stride, dt, every)
         ref.to_csv(tmp_path / "ref.csv", ["rho_00", "abs_rho_01", "re_rho_02",
                                           "im_rho_13"])
         assert (tmp_path / "cli.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
@@ -194,10 +227,11 @@ class TestSimulate:
     @pytest.mark.parametrize("limit,scales,gamma", [
         (cli.EXACT_BLOCK_LIMIT, {"omega_tau_g": 1e-150}, 0.0),
         (cli.EXACT_BLOCK_LIMIT, {"omega_tau_g": 1e-150}, 1e300),
-        # RK4's step check exits 2 on so large a c or gamma, so there the
-        # phases overflow, under damping within the step limit
-        (0, {"beta_bar": 1e200, "initial_state": "superposition01"}, 0.0),
-        (0, {"beta_bar": 1e200, "initial_state": "superposition01"}, 10.0),
+        # RK4's step check exits 2 on so large a c or gamma, and the phases
+        # are rotated exactly, so there the levels themselves overflow
+        # (0.375 ap_hw beta_bar = 3.75e399), under damping within the limit
+        (0, {"beta_bar": 1e300, "initial_state": "superposition01"}, 0.0),
+        (0, {"beta_bar": 1e300, "initial_state": "superposition01"}, 10.0),
     ], ids=["exact-blocks", "exact-blocks-damped", "rk4", "rk4-damped"])
     def test_overflowing_generator_is_exit_3(self, tmp_path, capsys, monkeypatch,
                                              limit, scales, gamma):
@@ -232,6 +266,59 @@ class TestSimulate:
         assert main(["simulate", "--config", write_config(tmp_path, **kv)]) == code
         err = capsys.readouterr().err
         assert ((f"dt={dt:g}" in err and "2.78" in err) if code else err == "")
+
+
+class TestLawsonSweep:
+    """The constant models' RK4 path, with its exact phases and the step rule
+    of ``integrate.evolve`` at ``LAWSON_STEP_LIMIT``, against the exact
+    blocks: populations within max(1e-10, plain RK4's own error at dt) and
+    |rho_01| no further off than plain RK4's, to omega t = 40 at dt = 0.05."""
+
+    SCALES = {("gup-markov", "weak"): {"omega_tau_g": 1.25e5},
+              ("gup-markov", "strong"): {"omega_tau_g": 5e4},
+              ("breuer", "weak"): {"omega_tau_d": 1e4},
+              ("breuer", "strong"): {"omega_tau_d": 100.0},
+              ("damping-only", "none"): {}}
+
+    @pytest.mark.parametrize("dim", [12, 24, 40])
+    @pytest.mark.parametrize("gamma", [0.0, 0.03])
+    @pytest.mark.parametrize("model,coupling", list(SCALES))
+    def test_step_rule_is_no_worse_than_rk4(self, monkeypatch, model, coupling,
+                                            gamma, dim):
+        monkeypatch.setattr(cli, "EXACT_BLOCK_LIMIT", 0)
+        # the two states share the blocks of fock(1): one expm each
+        cache = {}
+
+        def cached_expm(a):
+            key = a.tobytes()
+            if key not in cache:
+                cache[key] = expm(a)
+            return cache[key]
+
+        monkeypatch.setattr(integrate, "expm", cached_expm)
+        cfg = RunConfig(model=model, dim=dim, gamma_dimless=gamma, beta_bar=1.0,
+                        ap_hw=1e-3, t_end=40.0, dt=0.05, sample_every=800,
+                        **self.SCALES[model, coupling])
+        cfg.validate()
+        m = generators.model(model, cfg.model_params(), dim)
+        rhs = generators.breuer_rhs if model == "breuer" else generators.gup_markov_rhs
+        for psi in (fock.superposition01(dim), fock.fock_state(1, dim)):
+            rho0 = fock.density(psi)
+            exact = integrate.propagate_blocks(rho0, m, 40.0, 0.05,
+                                               sample_every=800).states
+            rk4 = integrate.evolve(rho0, lambda x, t: rhs(x, m), 40.0, 0.05,
+                                   sample_every=800).states
+            got = cli._evolve(cfg, rho0)
+            assert got.step >= 0.05
+
+            def pop(states):
+                return np.max(np.abs(np.diagonal(states - exact, axis1=1, axis2=2)))
+
+            def coh(states):
+                return np.max(np.abs(np.abs(states[:, 0, 1]) - np.abs(exact[:, 0, 1])))
+
+            assert pop(got.states) <= max(1e-10, pop(rk4))
+            assert coh(got.states) <= coh(rk4)
 
 
 class TestEnsemble:
@@ -498,6 +585,21 @@ class TestWigner:
             assert main(["wigner", "--config", cfg]) == 0
         assert json.loads(out.read_text())["ellipticity"] == {"value": None,
                                                               "sigma": None}
+
+    @pytest.mark.parametrize("model,dim,gamma,step", [
+        ("damping-only", 8, 0.0, None),        # exact blocks
+        ("damping-only", 23, 0.03, 0.05),      # RK4: blocks of order 265
+        ("breuer", 34, 0.0, 0.1),              # RK4, at twice dt
+        ("gup-nonmarkov", 8, 0.0, 0.05)])      # plain RK4
+    def test_evolved_grid_reports_the_step(self, tmp_path, model, dim, gamma, step):
+        out = tmp_path / "w.json"
+        cfg = write_config(tmp_path, model=model, dim=dim, gamma_dimless=gamma,
+                           omega_tau_d=1e4, omega_tau_g=500.0, kernel="exponential",
+                           omega_tau_kernel=2.0, t_end=2.0, dt=0.05,
+                           sample_every=40, grid_points=11, json_out=str(out))
+        assert main(["wigner", "--config", cfg]) == 0
+        data = json.loads(out.read_text())
+        assert data.get("diagnostics") == (None if step is None else {"step": step})
 
     def test_each_model_evolves_under_its_own_generator(self, tmp_path):
         common = dict(dim=12, initial_state="fock(1)", t_end=20.0, dt=0.05,

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -69,9 +70,9 @@ class TestEvolve:
             return -generators.gup_markov_rhs(r, m)  # wrong-sign double commutator
 
         rho0 = fock.density(fock.superposition01(8))
-        with pytest.raises(PositivityError) as err:
+        with pytest.raises(PositivityError, match="lost positivity") as err:
             integrate.evolve(rho0, antidissipator, 50.0, 0.01, sample_every=5)
-        assert err.value.min_eigenvalue < -1e-6
+        assert float(re.search(r"min eig (\S+)\)", str(err.value))[1]) < -1e-6
 
     def test_csv_columns(self, tmp_path):
         rho0 = fock.density(fock.superposition01(4))
@@ -511,8 +512,99 @@ class TestRealForm:
 
     def test_complex_rhs_is_refused(self):
         rho0 = fock.density(fock.superposition01(4))
-        with pytest.raises(TypeError):
+        with pytest.raises(TypeError, match="real form"):
             integrate.evolve(rho0, lambda x, t: 1j * x, 1.0, 0.1)
+
+
+class TestInputContract:
+    def test_non_hermitian_state_is_refused(self):
+        rho0 = np.array(fock.density(fock.superposition01(4)))
+        rho0[0, 1] += 1e-3j
+        with pytest.raises(ValueError, match="Hermitian"):
+            integrate.evolve(rho0, lambda x, t: 0 * x, 1.0, 0.1)
+
+    def test_complex_rhs_is_refused_on_the_lawson_step(self):
+        rho0 = fock.density(fock.superposition01(4))
+        with pytest.raises(TypeError, match="real form"):
+            integrate.evolve(rho0, lambda x, t: 1j * x, 1.0, 0.1,
+                             phases=np.zeros((4, 4)))
+
+    @pytest.mark.parametrize("phases,error", [
+        (np.zeros((4, 4), dtype=complex), TypeError),
+        (np.zeros((3, 3)), ValueError),
+        (np.zeros(4), ValueError)])
+    def test_malformed_phases_are_refused(self, phases, error):
+        rho0 = fock.density(fock.superposition01(4))
+        with pytest.raises(error, match="phases"):
+            integrate.evolve(rho0, lambda x, t: 0 * x, 1.0, 0.1, phases=phases)
+
+
+class TestLawson:
+    @pytest.mark.parametrize("dim", [4, 12])
+    def test_phases_alone_rotate_exactly(self, dim):
+        # no stepped part: one step per sample interval, of 100 dt, and each
+        # rho_ab picks up exactly exp(-i Δ_ab t)
+        levels = generators.energy_level(np.arange(dim), 1.0, 1e-2)
+        delta = levels[:, None] - levels[None, :]
+        rho0 = random_density(dim, 2)
+        rho0 = 0.5 * (rho0 + rho0.conj().T)
+        res = integrate.evolve(rho0, lambda x, t: np.zeros_like(x), 20.0, 0.05,
+                               phases=delta, reach=0.0)
+        assert res.step == 5.0
+        want = rho0 * np.exp(-1j * delta * res.times_omega[:, None, None])
+        assert np.max(np.abs(res.states - want)) < 1e-13
+        # without a reach the step stays dt
+        assert integrate.evolve(rho0, lambda x, t: np.zeros_like(x), 20.0, 0.05,
+                                phases=delta).step == 0.05
+
+    @pytest.mark.parametrize("t_end,dt,every,reach,stride", [
+        (200.0, 0.05, 4000, 4.057, 2),      # the rule's largest divisor
+        (200.0, 0.05, 4000, 4.19, 2),
+        (200.0, 0.05, 4000, 4.25, 1),       # 2 dt reach > 0.42
+        (200.0, 0.05, 4000, 1.3, 5),        # 6 does not divide 4000
+        (200.0, 0.05, 4000, 0.0, 4000),
+        (0.5, 0.05, 3, 1.0, 1),             # intervals 3, 3, 3 and 1
+        (200.0, 0.05, 4000, math.inf, 1),
+        (200.0, 0.05, 4000, math.nan, 1)])
+    def test_step_is_the_largest_divisor_within_the_limit(self, t_end, dt, every,
+                                                          reach, stride):
+        assert integrate.LAWSON_STEP_LIMIT == 0.42
+        rho0 = fock.density(fock.superposition01(3))
+        res = integrate.evolve(rho0, lambda x, t: np.zeros_like(x), t_end, dt,
+                               sample_every=every, phases=np.zeros((3, 3)),
+                               reach=reach)
+        assert res.step == stride * dt
+        plain = integrate.evolve(rho0, lambda x, t: np.zeros_like(x), t_end, dt,
+                                 sample_every=every)
+        assert plain.step == dt
+        assert np.array_equal(res.times_omega, plain.times_omega)
+
+    @pytest.mark.parametrize("model,gamma", [("breuer", 0.0), ("gup-markov", 0.0),
+                                             ("damping-only", 0.03)])
+    def test_rhs_without_phases_is_the_rest(self, model, gamma):
+        p, form = rk4_form(model, gamma, 12)
+        rhs = generators.breuer_rhs if model == "breuer" else generators.gup_markov_rhs
+        x = integrate.real_form(random_density(12, 4))
+        rest = rhs(x, form, phases=False)
+        if form.c:
+            assert np.array_equal(rhs(x, form), rest - x.T * form.delta)
+        else:
+            assert np.array_equal(rest, generators.damping_rhs(x, gamma))
+
+    @pytest.mark.parametrize("model,dim,spread", [
+        ("breuer", 12, 4.0), ("breuer", 40, 4.0), ("gup-markov", 24, 8.0)])
+    def test_phase_spread_at_harmonic_levels(self, model, dim, spread):
+        p = ModelParams.from_dimensionless(omega_tau_g=1e4, omega_tau_d=1e4)
+        assert generators.model(model, p, dim).phase_spread == spread
+
+    def test_phase_spread_bounds_the_coupled_phase_differences(self):
+        dim = 16
+        p, form = rk4_form("gup-markov", 0.03, dim)
+        delta = form.delta.ravel()
+        lv = dense_liouvillian(form, 0.03, dim)
+        rows, cols = np.nonzero(lv)
+        coupled = np.max(np.abs(delta[rows] - delta[cols]))
+        assert 8.0 < coupled <= form.phase_spread <= 1.01 * coupled
 
 
 class TestNonMarkov:

@@ -92,8 +92,7 @@ class TestSingleTrajectory:
         rng = np.random.default_rng(4)
         psi0 = rng.normal(size=dim) + 1j * rng.normal(size=dim)
         psi0 /= np.linalg.norm(psi0)
-        noise = trajectories.NoisePath(dt=dt, increments=np.array([xi]),
-                                       kind="white", tau=0.0, seed=0, stream=0)
+        noise = trajectories.NoisePath(dt=dt, increments=np.array([xi]))
         _, kets = trajectories.evolve_trajectory(psi0, gup(p, dim), noise)
         half = np.exp(-0.5j * dt * generators.energy_level(np.arange(dim), 1.0, p.ap_hw))
         kick = expm(-1j * 4.0 * p.ap_hw * xi * fock.kinetic(dim) @ fock.kinetic(dim))
@@ -123,9 +122,7 @@ class TestSingleTrajectory:
         rho /= np.trace(rho)
         mean = np.zeros((dim, dim), dtype=complex)
         for xi, w in zip(xis, weights):
-            noise = trajectories.NoisePath(dt=dt, increments=np.array([xi]),
-                                           kind="white", tau=0.0, seed=0,
-                                           stream=0)
+            noise = trajectories.NoisePath(dt=dt, increments=np.array([xi]))
             u = np.column_stack([
                 trajectories.evolve_trajectory(fock.fock_state(j, dim), m,
                                                noise)[1][-1]
