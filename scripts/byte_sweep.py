@@ -4,7 +4,8 @@
 Runs `decolab simulate` and `decolab wigner` over the four models, gamma
 {0, 0.03}, the vacuum, (|0>+|1>)/sqrt(2) and |1>, and each `--dim`;
 `decolab analytic` over the four models and both gammas; the
-white `gup-markov`, OU `gup-nonmarkov` and white `breuer` ensembles at dim 16,
+white `gup-markov` (sampled every 20 steps and every step), OU `gup-nonmarkov`
+and white `breuer` ensembles at dim 16,
 `decolab fit` of seeded exp and Ramsey traces with and without a sigma
 column, and `decolab bounds` from the paper's inputs with and without the
 ellipticity.  Every output goes into `--out-dir`; the input and output paths
@@ -50,6 +51,8 @@ MEMORY = {"kernel": "exponential", "omega_tau_kernel": 2.0}
 ANALYTIC = {"t_end": 10.0, "dt": 0.03}
 ENSEMBLES = {
     "ens-gup-markov-white": {"model": "gup-markov"},
+    # 121 samples: the streamed fold at every step
+    "ens-gup-markov-white-every-step": {"model": "gup-markov", "sample_every": 1},
     "ens-gup-nonmarkov-ou": {"model": "gup-nonmarkov", "noise_kind": "ornstein-uhlenbeck",
                              **MEMORY},
     "ens-breuer-white": {"model": "breuer"},

@@ -328,7 +328,7 @@ def cmd_ensemble(cfg: RunConfig) -> int:
         raise ConfigError(f"noise_kind {cfg.noise_kind!r} does not match model "
                           f"{cfg.model!r} with kernel {cfg.kernel!r}, whose noise "
                           f"is {m.noise!r}")
-    n_steps = max(1, int(round(cfg.t_end / cfg.dt)))
+    n_steps = integrate._step_count(cfg.t_end, cfg.dt)
     result = trajectories.ensemble_average(
         cfg.parse_state(cfg.dim), m, cfg.n_traj, cfg.seed, dt=cfg.dt,
         n_steps=n_steps, sample_every=cfg.sample_every, chunk_size=cfg.chunk_size)
@@ -449,13 +449,16 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _memory_sizes(cfg: RunConfig, command: str) -> str:
     """The sizes of a config that set how much memory its command takes."""
-    n_steps = max(1, int(round(cfg.t_end / cfg.dt)))
-    sizes = [f"{-(-n_steps // cfg.sample_every) + 1} samples "
-             f"(t_end / (dt sample_every))"]
+    n_steps = integrate._step_count(cfg.t_end, cfg.dt)
+    # the length of integrate._sample_grid, counted without building the
+    # grid: building it may be what ran out of memory
+    n_samples = len(range(0, n_steps, cfg.sample_every)) + 1
+    sizes = [f"{n_samples} samples (t_end / (dt sample_every))"]
     if command != "analytic":
         sizes.insert(0, f"dim={cfg.dim}")
     if command == "ensemble":
-        sizes.append(f"chunk_size={cfg.chunk_size}")
+        # the ensemble's sums hold samples x dim², its noise chunk_size x steps
+        sizes += [f"chunk_size={cfg.chunk_size}", f"{n_steps} steps (t_end / dt)"]
     if command == "wigner":
         sizes.append(f"grid_points={cfg.grid_points}")
     return ", ".join(sizes)

@@ -127,13 +127,13 @@ class WignerGrid:
 
     def to_csv(self, path) -> None:
         """Write `x,p,w` rows, row-major over the grid, in one write."""
-        xs = [f"{v:.12g}" for v in self.x.tolist()]
-        ps = [f"{v:.12g}" for v in self.p.tolist()]
-        rows = [f"{xi},{pj},{w:.12g}\n"
-                for xi, row in zip(xs, self.values.tolist())
-                for pj, w in zip(ps, row)]
+        # one template per grid row, built once from the p axis: each row
+        # fills in its x and formats its values in one % pass
+        row = "".join(f"{{x}},{pj:.12g},%.12g\n" for pj in self.p.tolist())
+        text = "".join(row.replace("{x}", f"{xi:.12g}") % tuple(w)
+                       for xi, w in zip(self.x.tolist(), self.values.tolist()))
         with open(path, "w") as fh:
-            fh.write("x,p,w\n" + "".join(rows))
+            fh.write("x,p,w\n" + text)
 
 
 def wigner(rho: np.ndarray, x: np.ndarray, p: np.ndarray) -> WignerGrid:

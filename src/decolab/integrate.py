@@ -103,16 +103,25 @@ def observable(name: str) -> Callable[[np.ndarray], float]:
     return lambda rho: float(part(rho[i, j]))
 
 
-def _sample_steps(t_end: float, dt: float, sample_every: int) -> list[int]:
-    """Steps that end in a sample: 0, every ``sample_every``-th and the last
-    of round(t_end/dt) steps (at least one)."""
+def _step_count(t_end: float, dt: float) -> int:
+    """The round(t_end/dt) steps of a run, at least one."""
     if not dt > 0:
         raise ValueError("dt must be positive")
+    return max(1, int(round(t_end / dt)))
+
+
+def _sample_steps(t_end: float, dt: float, sample_every: int) -> list[int]:
+    """Steps that end in a sample: 0, every ``sample_every``-th and the last
+    of ``_step_count(t_end, dt)`` steps."""
+    return _sample_grid(_step_count(t_end, dt), sample_every)
+
+
+def _sample_grid(n_steps: int, sample_every: int) -> list[int]:
+    """Steps that end in a sample: every ``sample_every``-th below ``n_steps``,
+    from 0, and then ``n_steps``."""
     if sample_every < 1:
         raise ValueError("sample_every must be at least 1")
-    n_steps = max(1, int(round(t_end / dt)))
-    steps = list(range(0, n_steps + 1, sample_every))
-    return steps if steps[-1] == n_steps else steps + [n_steps]
+    return [*range(0, n_steps, sample_every), n_steps]
 
 
 def real_form(rho: np.ndarray) -> np.ndarray:

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -233,22 +234,43 @@ class TestEnsemble:
             trajectories.ensemble_average(fock.fock_state(0, 6), gup(p, 6), 100,
                                           seed=1, dt=0.05, n_steps=10)
 
-    def test_chunking_is_bit_identical(self):
+    @pytest.mark.parametrize("sample_every", [20, 1])
+    def test_chunking_is_bit_identical(self, sample_every):
         psi0 = fock.superposition01(8)
         a = trajectories.ensemble_average(psi0, gup(self.p, 8), 100, seed=9, dt=0.05,
-                                          n_steps=40, sample_every=20,
+                                          n_steps=40, sample_every=sample_every,
                                           chunk_size=7)
         b = trajectories.ensemble_average(psi0, gup(self.p, 8), 100, seed=9, dt=0.05,
-                                          n_steps=40, sample_every=20,
+                                          n_steps=40, sample_every=sample_every,
                                           chunk_size=100)
         assert np.array_equal(a.mean_states, b.mean_states)
         assert np.array_equal(a.stderr, b.stderr)
-        # chunk_size 99 leaves a last chunk of a single trajectory
-        c = trajectories.ensemble_average(psi0, gup(self.p, 8), 100, seed=9, dt=0.05,
-                                          n_steps=40, sample_every=20,
-                                          chunk_size=99)
-        assert np.array_equal(c.mean_states, b.mean_states)
-        assert np.array_equal(c.stderr, b.stderr)
+        # chunk_size 99 leaves a last chunk of a single trajectory, and
+        # chunk_size 1 makes every chunk one
+        for chunk_size in (99, 1):
+            c = trajectories.ensemble_average(psi0, gup(self.p, 8), 100, seed=9,
+                                              dt=0.05, n_steps=40,
+                                              sample_every=sample_every,
+                                              chunk_size=chunk_size)
+            assert np.array_equal(c.mean_states, b.mean_states)
+            assert np.array_equal(c.stderr, b.stderr)
+
+    def test_memory_holds_no_per_sample_chunk_stack(self):
+        # 101 samples of a 100-trajectory chunk at dim 16: a (samples, chunk,
+        # dim, dim) density stack would be 41 MB; the sums are 0.6 MB and the
+        # noise increments 80 KB
+        m = gup(self.p, 16)
+        psi0 = fock.superposition01(16)
+        tracemalloc.start()
+        try:
+            ens = trajectories.ensemble_average(psi0, m, 100, seed=1, dt=0.025,
+                                                n_steps=100, sample_every=1,
+                                                chunk_size=100)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert ens.mean_states.shape == (101, 16, 16)
+        assert peak < 4e6
 
     def test_mean_tracks_master_equation(self):
         psi0 = fock.superposition01(10)
