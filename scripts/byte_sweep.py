@@ -21,7 +21,9 @@ With `--against DIR`, the sweep of another checkout, it then prints, for each
 output file in both directories, the largest absolute and relative difference
 over the numbers at the same place (CSV cells, JSON values), and the count of
 other values that differ, so that a change that moves numbers at rounding
-level states its movement from one command:
+level states its movement from one command.  A run whose
+`diagnostics.propagator` differs gets one more line,
+`propagator <theirs> -> <ours>  <run>`:
 
     PYTHONPATH=src python scripts/byte_sweep.py --out-dir new --against old
 """
@@ -205,6 +207,11 @@ def main() -> int:
         for name in sorted(names & theirs):
             d_abs, d_rel, other = compare(out / name, args.against / name)
             print(f"abs {d_abs:.3g}  rel {d_rel:.3g}  other {other}  {name}")
+            if name.endswith(".json"):
+                mine, other_side = (_values(d / name).get(("diagnostics", "propagator"))
+                                    for d in (out, args.against))
+                if mine != other_side:
+                    print(f"propagator {other_side} -> {mine}  {name[:-5]}")
     return 1 if failed else 0
 
 

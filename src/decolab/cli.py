@@ -242,12 +242,12 @@ def _analytic_curves(cfg: RunConfig, times: np.ndarray) -> dict:
     return curves
 
 
-#: Largest parity block, as the order of its matrix, that takes the exact
-#: propagator.  scipy's expm briefly holds about nine block-sized complex
-#: arrays, so its memory grows as dim⁴ where RK4's grows as dim²: blocks of
-#: order 400 (dim 40) raised a run's peak RSS from 84 MB to 112-115 MB.  256
-#: admits dim ≤ 32 without damping and dim ≤ 22 with it.
-EXACT_BLOCK_LIMIT = 256
+#: Largest parity block, as the order of its real matrix on vec(X), that
+#: takes the exact propagator.  scipy's expm briefly holds about nine
+#: block-sized arrays, so its memory grows as dim⁴ where RK4's grows as dim².
+#: 512 is the largest block at dim 32, with or without damping, so it admits
+#: dim ≤ 32.  At dim 32 a damped breuer run peaked at 104 MB, RK4 at 80 MB.
+EXACT_BLOCK_LIMIT = 512
 
 
 #: RK4 is stable on the negative real axis down to h λ = -2.785; the
@@ -306,7 +306,10 @@ def cmd_simulate(cfg: RunConfig) -> int:
         "max_abs_deviation_from_analytic": deviations,
         "diagnostics": {
             "max_trace_drift": float(np.max(result.trace_drift)),
-            "max_herm_drift": float(np.max(result.herm_drift)),
+            # max |rho - rho†| over the written states, one at a time so that
+            # no copy of the whole stack is made: 0 by construction
+            "max_herm_drift": max(float(np.max(np.abs(s - s.conj().T)))
+                                  for s in result.states),
             "min_eigenvalue": float(np.min(result.min_eigenvalue)),
             "propagator": result.propagator,
             # the largest weight in the top four Fock levels over all samples
@@ -349,7 +352,9 @@ def cmd_ensemble(cfg: RunConfig) -> int:
 
 def cmd_analytic(cfg: RunConfig) -> int:
     # simulate's sample times, the end sample included
-    times = np.array(integrate._sample_steps(cfg.t_end, cfg.dt, cfg.sample_every)) * cfg.dt
+    steps = integrate._sample_grid(integrate._step_count(cfg.t_end, cfg.dt),
+                                   cfg.sample_every)
+    times = np.array(steps) * cfg.dt
     p00, coh, p11 = _closed_forms(cfg, times)
     if cfg.csv_out:
         with open(cfg.csv_out, "w") as fh:

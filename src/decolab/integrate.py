@@ -8,8 +8,8 @@ removed by the renormalization is recorded, so that long runs stay valid
 while the error remains observable.  Fixed steps keep runs bit-reproducible.
 Given the phases -Δ∘Xᵀ of a constant generator, ``evolve`` takes Lawson's
 integrating-factor RK4, which rotates them exactly and steps only the rest.
-``propagate_blocks`` samples the exact exp(L t) on the same grid, one parity
-block of L at a time.
+``propagate_blocks`` samples the exact exp(L t) of the same generator on the
+same grid, one parity block of L on vec(X) at a time.
 """
 
 from __future__ import annotations
@@ -50,16 +50,12 @@ class EvolutionResult:
     states: np.ndarray               # (n_samples, dim, dim)
     omega: float = 1.0               # rad/s, for the seconds axis
     trace_drift: np.ndarray = field(default=None)   # |tr-1| before renorm, per sample
-    # max |rho - rho†| before the fix: 0 by construction on RK4's real form,
-    # measured on the exact blocks
-    herm_drift: np.ndarray = field(default=None)
     min_eigenvalue: np.ndarray = field(default=None)
     propagator: str = "rk4"          # rk4 | exact-blocks
     step: float | None = None        # the step RK4 took; None on the exact blocks
 
     def expect(self, name: str) -> np.ndarray:
-        f = observable(name)
-        return np.array([f(s) for s in self.states])
+        return observable(name)(self.states)
 
     def to_csv(self, path, observables: Sequence[str]) -> None:
         """Write `t_omega,t_seconds,<obs>...` rows for the declared observables."""
@@ -91,8 +87,9 @@ def _parse_observable(name: str) -> tuple[str | None, int, int]:
     return prefix, i, j
 
 
-def observable(name: str) -> Callable[[np.ndarray], float]:
-    """Matrix-element observable from a name like `rho_11` or `re_rho_01`.
+def observable(name: str) -> Callable[[np.ndarray], np.ndarray]:
+    """Matrix-element observable from a name like `rho_11` or `re_rho_01`, of
+    one state or of each state of a stack (..., dim, dim).
 
     `rho_nn` is the (real) population; off-diagonal elements need an explicit
     re_/im_/abs_ prefix.  Two-digit suffixes split in the middle; longer
@@ -100,7 +97,7 @@ def observable(name: str) -> Callable[[np.ndarray], float]:
     """
     prefix, i, j = _parse_observable(name)
     part = {"re_": np.real, "im_": np.imag, "abs_": np.abs, None: np.real}[prefix]
-    return lambda rho: float(part(rho[i, j]))
+    return lambda rho: part(rho[..., i, j])
 
 
 def _step_count(t_end: float, dt: float) -> int:
@@ -108,12 +105,6 @@ def _step_count(t_end: float, dt: float) -> int:
     if not dt > 0:
         raise ValueError("dt must be positive")
     return max(1, int(round(t_end / dt)))
-
-
-def _sample_steps(t_end: float, dt: float, sample_every: int) -> list[int]:
-    """Steps that end in a sample: 0, every ``sample_every``-th and the last
-    of ``_step_count(t_end, dt)`` steps."""
-    return _sample_grid(_step_count(t_end, dt), sample_every)
 
 
 def _sample_grid(n_steps: int, sample_every: int) -> list[int]:
@@ -141,12 +132,13 @@ def hermitian(x: np.ndarray) -> np.ndarray:
     return rho
 
 
-def _corrected(rho: np.ndarray) -> np.ndarray:
-    """rho re-Hermitized ((rho+rho†)/2) and renormalized to unit trace."""
-    h = rho + rho.conj().T
-    h *= 0.5
-    h /= np.real(np.trace(h))
-    return h
+def _initial_form(rho0: np.ndarray) -> np.ndarray:
+    """The real form of rho0, which must be Hermitian: ``real_form`` would
+    fold an anti-Hermitian part into X without a word."""
+    if not np.allclose(rho0, np.conj(rho0).T, rtol=0.0, atol=1e-12):
+        raise ValueError("rho0 must be Hermitian: its real form holds only a "
+                         "Hermitian rho")
+    return real_form(rho0)
 
 
 def _stage(x: np.ndarray, h: float, k: np.ndarray) -> np.ndarray:
@@ -165,23 +157,14 @@ class _Samples:
 
     def __init__(self, rho0: np.ndarray, dt: float, omega: float):
         self.dt, self.omega = dt, omega
-        self.times, self.states, self.tdrift, self.hdrift, self.mineig = [], [], [], [], []
-        self.record(0, np.asarray(rho0, dtype=complex), 0.0, 0.0)
+        self.times, self.states, self.tdrift, self.mineig = [], [], [], []
+        self.record(0, np.asarray(rho0, dtype=complex), 0.0)
 
-    def add(self, step: int, rho: np.ndarray) -> None:
-        """Record the drift that ``_corrected`` removes from rho, then the
-        corrected rho."""
-        trace_drift = abs(float(np.real(np.trace(rho))) - 1.0)
-        herm_drift = float(np.max(np.abs(rho - rho.conj().T)))
-        self.record(step, _corrected(rho), trace_drift, herm_drift)
-
-    def record(self, step: int, rho: np.ndarray, trace_drift: float,
-               herm_drift: float) -> None:
+    def record(self, step: int, rho: np.ndarray, trace_drift: float) -> None:
         t = step * self.dt
         self.times.append(t)
         self.states.append(rho.copy())
         self.tdrift.append(trace_drift)
-        self.hdrift.append(herm_drift)
         if not np.all(np.isfinite(rho)):
             raise PositivityError(f"state is not finite at omega*t={t:.6g}")
         lo = float(np.linalg.eigvalsh(rho)[0])
@@ -194,7 +177,7 @@ class _Samples:
         return EvolutionResult(
             times_omega=np.array(self.times), states=np.array(self.states),
             omega=self.omega, trace_drift=np.array(self.tdrift),
-            herm_drift=np.array(self.hdrift), min_eigenvalue=np.array(self.mineig),
+            min_eigenvalue=np.array(self.mineig),
             propagator=propagator, step=step)
 
 
@@ -224,12 +207,9 @@ def evolve(rho0: np.ndarray, rhs: Callable[[np.ndarray, float], np.ndarray],
     h.  Raises PositivityError when a sampled state dips below
     ``POSITIVITY_FLOOR`` or is not finite.
     """
-    steps = _sample_steps(t_end, dt, sample_every)
+    steps = _sample_grid(_step_count(t_end, dt), sample_every)
     sampled = set(steps)
-    if not np.allclose(rho0, np.conj(rho0).T, rtol=0.0, atol=1e-12):
-        raise ValueError("rho0 must be Hermitian: its real form holds only a "
-                         "Hermitian rho")
-    x = real_form(rho0)
+    x = _initial_form(rho0)
     samples = _Samples(rho0, dt, omega)
     stride, advance = 1, _rk4(rhs, dt)
     if phases is not None:
@@ -249,7 +229,7 @@ def evolve(rho0: np.ndarray, rhs: Callable[[np.ndarray, float], np.ndarray],
         trace = x.trace()
         x /= trace
         if step + stride in sampled:
-            samples.record(step + stride, hermitian(x), abs(float(trace) - 1.0), 0.0)
+            samples.record(step + stride, hermitian(x), abs(float(trace) - 1.0))
     return samples.result("rk4", stride * dt)
 
 
@@ -292,70 +272,70 @@ def _lawson(rhs, h: float, delta: np.ndarray):
 
 
 def parity_blocks(dim: int, damped: bool) -> list[np.ndarray]:
-    """Row-major indices of the elements of rho in each block that a constant
+    """Row-major indices of the elements of X in each block that a constant
     generator never couples.
 
-    K and K² move n by even steps, so the phases and the double commutator
-    conserve (m mod 2, n mod 2): four blocks.  Damping (a rho a†) moves
-    (m, n) to (m-1, n-1), which conserves only (m - n) mod 2: two blocks.
+    K and K² move n by even steps, so the double commutator conserves
+    (m mod 2, n mod 2), and the phases -Δ∘Xᵀ couple X_mn to X_nm: three
+    blocks, by m mod 2 + n mod 2.  Damping (a X aᵀ) moves (m, n) to
+    (m-1, n-1), which conserves only (m - n) mod 2: two blocks.
     """
     m, n = np.divmod(np.arange(dim * dim), dim)
-    key = (m - n) % 2 if damped else 2 * (m % 2) + n % 2
+    key = (m - n) % 2 if damped else m % 2 + n % 2
     return [np.flatnonzero(key == k) for k in np.unique(key)]
 
 
-def _block_liouvillian(idx: np.ndarray, dim: int, model: Model) -> np.ndarray:
-    """Rows and columns ``idx`` of the Liouvillian on row-major vec(rho) of
-    R * rho - c [A, [A, rho]] + gamma (a rho a† - {N, rho}/2).
-
-    X rho Y is X ⊗ Yᵀ on vec(rho); its block is X[m, m'] Yᵀ[n, n'] over the
-    pairs (m, n), (m', n') of the block.  A and a are real, A symmetric.
-    """
-    m, n = np.divmod(idx, dim)
-
-    def kron(x, y):
-        return x[np.ix_(m, m)] * y[np.ix_(n, n)]
-
-    # A² in complex arithmetic: OpenBLAS rounds some entries of a real A @ A
-    # differently, and the blocks keep the bytes of a complex A
-    op = np.asarray(model.op, dtype=complex)
-    a = np.diag(generators._damping_factors(dim)[0], 1)
-    eye, op2, gamma = np.eye(dim), op @ op, model.gamma
-    return (np.diag(model.rates.ravel()[idx] - 0.5 * gamma * (m + n))
-            - model.c * (kron(op2, eye) - 2.0 * kron(op, op) + kron(eye, op2))
-            + gamma * kron(a, a))
+def _block_generator(idx: np.ndarray, model: Model) -> np.ndarray:
+    """Rows and columns ``idx`` of the model's generator on row-major vec(X):
+    column j is the model's right-hand side at the basis matrix of element
+    ``idx[j]``, read at ``idx``."""
+    dim = model.levels.shape[0]
+    basis = np.zeros(dim * dim)
+    block = np.empty((len(idx), len(idx)))
+    for j, k in enumerate(idx):
+        basis[k] = 1.0
+        column = generators._lindblad_rhs(basis.reshape(dim, dim), model,
+                                          (model.op, None), model.c)
+        block[:, j] = column.ravel()[idx]
+        basis[k] = 0.0
+    return block
 
 
 def propagate_blocks(rho0: np.ndarray, model: Model, t_end: float,
                      dt: float = default_dt, *, sample_every: int = 100) -> EvolutionResult:
     """Sample exp(L t) rho0 exactly, on ``evolve``'s grid, for the constant
-    generator L rho = R * rho - c [A, [A, rho]] + gamma (a rho a† - {N, rho}/2)
-    of a model description from ``generators.model``.
+    generator L of a model description from ``generators.model``: the
+    right-hand side that ``gup_markov_rhs`` and ``breuer_rhs`` step, a real
+    map on the real form X = ``real_form(rho0)`` of the Hermitian rho0.
 
-    L is never formed whole: each parity block gets one ``expm`` per distinct
-    sample interval (at most two), which carries that block's slice of rho
-    from sample to sample, one block at a time.  A block whose slice of rho0
-    is all zero stays zero and gets no ``expm``: the vacuum and |n⟩ occupy
-    one block of four (of two with damping).  ``dt`` sets only the grid.
-    Re-Hermitizing and renormalizing commute with exp(L t), so they are
-    applied to each sample, after its drift is recorded, and not fed back.
-    Raises PositivityError like ``evolve``.
+    L is never formed whole: each parity block of L on vec(X) is built from
+    the right-hand side (``_block_generator``) and gets one ``expm`` per
+    distinct sample interval (at most two), which carries that block's slice
+    of X from sample to sample, one block at a time.  A block whose slice of
+    X is all zero stays zero and gets no ``expm``: the vacuum and |n⟩ occupy
+    one block of three (of two with damping).  ``dt`` sets only the grid.
+    Renormalizing commutes with exp(L t), so each sample records its trace
+    drift, divides X by its trace and reads rho = ``hermitian(X)``, and the
+    division is not fed back.  Refuses a non-Hermitian rho0 and raises
+    PositivityError like ``evolve``.
     """
-    steps = _sample_steps(t_end, dt, sample_every)
+    steps = _sample_grid(_step_count(t_end, dt), sample_every)
     gaps = [b - a for a, b in zip(steps, steps[1:])]
     dim = rho0.shape[0]
-    flat = np.zeros((len(steps), dim * dim), dtype=complex)
-    flat[0] = np.asarray(rho0, dtype=complex).ravel()
+    flat = np.zeros((len(steps), dim * dim))
+    flat[0] = _initial_form(rho0).ravel()
     for idx in parity_blocks(dim, damped=bool(model.gamma)):
         if not flat[0, idx].any():
             continue
-        lv = _block_liouvillian(idx, dim, model)
+        lv = _block_generator(idx, model)
         props = {g: expm(lv * (g * dt)) for g in set(gaps)}
         for i, g in enumerate(gaps, 1):
             flat[i, idx] = props[g] @ flat[i - 1, idx]
     samples = _Samples(rho0, dt, model.params.omega)
     for step, vec in zip(steps[1:], flat[1:]):
-        samples.add(step, vec.reshape(dim, dim))
+        x = vec.reshape(dim, dim)
+        trace = x.trace()
+        samples.record(step, hermitian(x / trace), abs(float(trace) - 1.0))
     return samples.result("exact-blocks")
 
 

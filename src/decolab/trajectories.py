@@ -150,8 +150,7 @@ class EnsembleResult:
     def to_csv(self, path, observables) -> None:
         cols = {}
         for name in observables:
-            f = integrate.observable(name)
-            cols[name] = np.array([f(s) for s in self.mean_states])
+            cols[name] = integrate.observable(name)(self.mean_states)
             cols["stderr_" + name] = self.observable_stderr(name)
         integrate._write_csv(path, self.times_omega, self.omega, cols.items())
 

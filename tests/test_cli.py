@@ -173,10 +173,11 @@ class TestSimulate:
         assert outs[0] == outs[1]
 
     @pytest.mark.parametrize("model,dim,gamma,propagator", [
-        ("gup-markov", 8, 0.0, "exact-blocks"),    # blocks of order 16
-        ("breuer", 22, 0.03, "exact-blocks"),      # 242 <= 256
-        ("damping-only", 23, 0.03, "rk4"),         # 265 > 256
-        ("gup-markov", 33, 0.0, "rk4"),            # 289 > 256
+        ("gup-markov", 8, 0.0, "exact-blocks"),    # real blocks of order 32
+        ("breuer", 32, 0.03, "exact-blocks"),      # 512 <= 512
+        ("damping-only", 33, 0.03, "rk4"),         # 545 > 512
+        ("breuer", 32, 0.0, "exact-blocks"),       # 512 <= 512
+        ("gup-markov", 33, 0.0, "rk4"),            # 544 > 512
     ])
     def test_each_path_reports_its_name_and_edge_population(
             self, tmp_path, model, dim, gamma, propagator):
@@ -195,8 +196,22 @@ class TestSimulate:
         assert diag["edge_population"] == pytest.approx(np.max(edge.sum(axis=1)),
                                                         rel=1e-10, abs=1e-15)
 
+    def test_damped_run_past_rk4s_step_limit_takes_the_exact_blocks(self, tmp_path,
+                                                                    capsys):
+        # RK4's check asks for dt <= 0.0106 here; the real blocks have order
+        # 288, within the limit, and take no step
+        cfg = write_config(
+            tmp_path, model="gup-markov", dim=24, omega_tau_g=500.0, ap_hw=1.5e-33,
+            beta_bar=1.0, gamma_dimless=0.03, initial_state="superposition01",
+            t_end=20.0, dt=0.05, json_out=str(tmp_path / "s.json"))
+        assert main(["simulate", "--config", cfg]) == 0
+        assert capsys.readouterr().err == ""
+        diag = json.loads((tmp_path / "s.json").read_text())["diagnostics"]
+        assert diag["propagator"] == "exact-blocks" and "step" not in diag
+        assert diag["max_herm_drift"] == 0.0 and diag["min_eigenvalue"] > -1e-12
+
     def test_rk4_above_the_block_limit_keeps_its_bytes(self, tmp_path):
-        # dim 33 without damping has parity blocks of order 289; Lawson's
+        # dim 33 without damping has a parity block of order 544; Lawson's
         # step on the real form X, with the exact rotation of -Δ∘Xᵀ and the
         # four-product double commutator -c [K², [K², X]] written out here,
         # is the reference, byte for byte
@@ -587,9 +602,10 @@ class TestWigner:
                                                               "sigma": None}
 
     @pytest.mark.parametrize("model,dim,gamma,step", [
-        ("damping-only", 8, 0.0, None),        # exact blocks
-        ("damping-only", 23, 0.03, 0.05),      # RK4: blocks of order 265
-        ("breuer", 34, 0.0, 0.1),              # RK4, at twice dt
+        ("damping-only", 32, 0.03, None),      # exact blocks: order 512
+        ("damping-only", 33, 0.03, 0.05),      # RK4: blocks of order 545
+        ("breuer", 32, 0.0, None),             # exact blocks: order 512
+        ("breuer", 33, 0.0, 0.1),              # RK4 (order 544), at twice dt
         ("gup-nonmarkov", 8, 0.0, 0.05)])      # plain RK4
     def test_evolved_grid_reports_the_step(self, tmp_path, model, dim, gamma, step):
         out = tmp_path / "w.json"

@@ -66,6 +66,11 @@ def test_byte_sweep_against_reports_the_largest_differences(tmp_path):
     data["breuer"]["gamma_inv"]["unit"] = "ms"
     js.write_text(json.dumps(data))
     (old / "fit-exp-sigma.json").unlink()
+    # one run that took the other propagator
+    js = old / "simulate-breuer-g0-sup01-d5.json"
+    data = json.loads(js.read_text())
+    data["diagnostics"]["propagator"] = "rk4"
+    js.write_text(json.dumps(data))
     proc = run_script("byte_sweep.py", "--out-dir", "new", "--dim", "5",
                       "--against", "old", cwd=tmp_path)
     assert proc.returncode == 0, proc.stderr
@@ -78,3 +83,5 @@ def test_byte_sweep_against_reports_the_largest_differences(tmp_path):
     assert other == 1 and d_abs == pytest.approx(0.5)
     unchanged = report["simulate-breuer-g0-sup01-d5.csv"]
     assert unchanged == ["abs", "0", "rel", "0", "other", "0"]
+    moved = [line for line in proc.stdout.splitlines() if line.startswith("propagator ")]
+    assert moved == ["propagator rk4 -> exact-blocks  simulate-breuer-g0-sup01-d5"]
