@@ -247,6 +247,8 @@ def _analytic_curves(cfg: RunConfig, times: np.ndarray) -> dict:
 #: block-sized arrays, so its memory grows as dim⁴ where RK4's grows as dim².
 #: 512 is the largest block at dim 32, with or without damping, so it admits
 #: dim ≤ 32.  At dim 32 a damped breuer run peaked at 104 MB, RK4 at 80 MB.
+#: The undamped mixed block is stepped as its complex half, of half the
+#: order, but counts here by its real order, 2 ⌈dim/2⌉ ⌊dim/2⌋.
 EXACT_BLOCK_LIMIT = 512
 
 
@@ -256,10 +258,23 @@ EXACT_BLOCK_LIMIT = 512
 RK4_REAL_LIMIT = 2.78
 
 
-def _check_rk4_step(cfg: RunConfig, m: generators.Model) -> float:
+def _rk4_stable(re: float, im: float) -> bool:
+    """Whether |R(z)| <= 1 for RK4's stability polynomial
+    R(z) = 1 + z + z²/2 + z³/6 + z⁴/24 over -re <= Re z <= 0, |Im z| <= im.
+    R is analytic and R(z̄) is the conjugate of R(z), so its largest modulus
+    there lies on the upper half of the rectangle's edge, sampled here."""
+    s = np.linspace(0.0, 1.0, 257)
+    z = np.concatenate([-re * s + 1j * im, -re + 1j * im * s, 1j * im * s])
+    r = 1.0 + z * (1.0 + z * (0.5 + z * (1.0 / 6.0 + z / 24.0)))
+    return bool(np.max(np.abs(r)) <= 1.0 + 1e-12)
+
+
+def _check_rk4_step(cfg: RunConfig, m: generators.Model, phases: float = 0.0) -> float:
     """Exit 2 rather than blow up when dt is past RK4's stability limit for
-    the model's double commutator and damping, whatever the state; else
-    return their stiffness."""
+    what it steps, whatever the state; else return the stiffness s of the
+    double commutator and damping.  Their eigenvalues lie in [-s, 0], and
+    ``phases`` = max |Δ| is the reach of the phases -Δ∘Xᵀ on the imaginary
+    axis when RK4 steps them too (0 when they are rotated exactly)."""
     a = np.linalg.eigvalsh(m.op)
     stiffness = m.c * (a[-1] - a[0]) ** 2 + m.gamma * (cfg.dim - 1)
     if cfg.dt * stiffness > RK4_REAL_LIMIT:
@@ -267,6 +282,18 @@ def _check_rk4_step(cfg: RunConfig, m: generators.Model) -> float:
             f"dt={cfg.dt:.6g} is past RK4's stability limit: dt (c (a_max - a_min)² "
             f"+ gamma (dim - 1)) = {cfg.dt * stiffness:.3g} > {RK4_REAL_LIMIT}; "
             f"take dt <= {RK4_REAL_LIMIT / stiffness:.3g}")
+    if math.isfinite(phases) and not _rk4_stable(cfg.dt * stiffness, cfg.dt * phases):
+        # RK4 is stable on the imaginary axis up to |z| = √8
+        lo, hi = 0.0, min(cfg.dt, math.sqrt(8.0) / phases)
+        for _ in range(60):
+            mid = 0.5 * (lo + hi)
+            lo, hi = (mid, hi) if _rk4_stable(mid * stiffness, mid * phases) else (lo, mid)
+        # 0.995 lo keeps the three digits shown at or below lo
+        raise ConfigError(
+            f"dt={cfg.dt:.6g} is past RK4's stability region with the phases: "
+            f"|R(z)| > 1 somewhere in -dt s <= Re z <= 0, |Im z| <= dt max |Δ| = "
+            f"{cfg.dt * phases:.3g}, with s = c (a_max - a_min)² + gamma (dim - 1) "
+            f"= {stiffness:.3g}; take dt <= {0.995 * lo:.3g}")
     return stiffness
 
 
@@ -281,10 +308,12 @@ def _evolve(cfg: RunConfig, rho0: np.ndarray) -> integrate.EvolutionResult:
     if cfg.model != "gup-nonmarkov" and max(map(len, blocks)) <= EXACT_BLOCK_LIMIT:
         return integrate.propagate_blocks(rho0, m, cfg.t_end, cfg.dt,
                                           sample_every=cfg.sample_every)
-    stiffness = _check_rk4_step(cfg, m)
     if cfg.model == "gup-nonmarkov":
+        # plain RK4 steps the phases too
+        _check_rk4_step(cfg, m, float(np.max(np.abs(m.delta))))
         return integrate.evolve_nonmarkov(rho0, m.params, cfg.t_end, cfg.dt,
                                           sample_every=cfg.sample_every)
+    stiffness = _check_rk4_step(cfg, m)
     rhs = generators.breuer_rhs if cfg.model == "breuer" else generators.gup_markov_rhs
     return integrate.evolve(rho0, lambda x, t: rhs(x, m, phases=False), cfg.t_end,
                             cfg.dt, sample_every=cfg.sample_every, omega=cfg.omega,

@@ -9,7 +9,8 @@ while the error remains observable.  Fixed steps keep runs bit-reproducible.
 Given the phases -Δ∘Xᵀ of a constant generator, ``evolve`` takes Lawson's
 integrating-factor RK4, which rotates them exactly and steps only the rest.
 ``propagate_blocks`` samples the exact exp(L t) of the same generator on the
-same grid, one parity block of L on vec(X) at a time.
+same grid, one parity block of L on vec(X) at a time; without damping, the
+mixed block is stepped as its complex half z = X_mn + i X_nm (m even, n odd).
 """
 
 from __future__ import annotations
@@ -153,12 +154,12 @@ def _stage(x: np.ndarray, h: float, k: np.ndarray) -> np.ndarray:
 
 class _Samples:
     """Sampled states and their diagnostics, checked as they are added; the
-    first is rho0 as given."""
+    first is the state evolved, ``hermitian(x0)`` of the initial real form."""
 
-    def __init__(self, rho0: np.ndarray, dt: float, omega: float):
+    def __init__(self, x0: np.ndarray, dt: float, omega: float):
         self.dt, self.omega = dt, omega
         self.times, self.states, self.tdrift, self.mineig = [], [], [], []
-        self.record(0, np.asarray(rho0, dtype=complex), 0.0)
+        self.record(0, hermitian(x0), abs(float(x0.trace()) - 1.0))
 
     def record(self, step: int, rho: np.ndarray, trace_drift: float) -> None:
         t = step * self.dt
@@ -203,14 +204,16 @@ def evolve(rho0: np.ndarray, rhs: Callable[[np.ndarray, float], np.ndarray],
 
     After every step X is renormalized to unit trace (tr rho = tr X); a
     sampled step records the trace drift before that and rho =
-    ``hermitian(X)``, Hermitian by construction.  ``step`` of the result is
-    h.  Raises PositivityError when a sampled state dips below
-    ``POSITIVITY_FLOOR`` or is not finite.
+    ``hermitian(X)``, Hermitian by construction; sample 0 is the state
+    evolved, ``hermitian(X0)``.  RK4's stage times come from the step index,
+    (step + j/2) dt, so one step's end time is the next one's start, bit for
+    bit.  ``step`` of the result is h.  Raises PositivityError when a sampled
+    state dips below ``POSITIVITY_FLOOR`` or is not finite.
     """
     steps = _sample_grid(_step_count(t_end, dt), sample_every)
     sampled = set(steps)
     x = _initial_form(rho0)
-    samples = _Samples(rho0, dt, omega)
+    samples = _Samples(x, dt, omega)
     stride, advance = 1, _rk4(rhs, dt)
     if phases is not None:
         phases = np.asarray(phases)
@@ -223,9 +226,9 @@ def evolve(rho0: np.ndarray, rhs: Callable[[np.ndarray, float], np.ndarray],
         stride = int(min(gap, max(1, LAWSON_STEP_LIMIT / (dt * reach)))) if reach else gap
         while gap % stride:
             stride -= 1
-        advance = _lawson(rhs, stride * dt, phases)
+        advance = _lawson(rhs, dt, stride, phases)
     for step in range(0, steps[-1], stride):
-        x = advance(x, step * dt)
+        x = advance(x, step)
         trace = x.trace()
         x /= trace
         if step + stride in sampled:
@@ -233,39 +236,51 @@ def evolve(rho0: np.ndarray, rhs: Callable[[np.ndarray, float], np.ndarray],
     return samples.result("rk4", stride * dt)
 
 
-def _rk4(rhs, h: float):
-    """One classical RK4 step of rhs, before renormalization."""
-    half, sixth = 0.5 * h, h / 6.0
+def _stage_times(step: int, dt: float, stride: int) -> tuple[float, float, float]:
+    """The start, midpoint and end times of the step of ``stride`` dt from
+    ``step``, each from its index, so that one step's end is bitwise the next
+    step's start."""
+    return step * dt, (step + 0.5 * stride) * dt, (step + stride) * dt
 
-    def advance(x, t):
+
+def _rk4(rhs, dt: float):
+    """One classical RK4 step of rhs from a step index, before
+    renormalization."""
+    half, sixth = 0.5 * dt, dt / 6.0
+
+    def advance(x, step):
+        t, mid, end = _stage_times(step, dt, 1)
         k1 = rhs(x, t)
-        k2 = rhs(_stage(x, half, k1), t + half)
-        k3 = rhs(_stage(x, half, k2), t + half)
-        k4 = rhs(_stage(x, h, k3), t + h)
+        k2 = rhs(_stage(x, half, k1), mid)
+        k3 = rhs(_stage(x, half, k2), mid)
+        k4 = rhs(_stage(x, dt, k3), end)
         return (((2.0 * k2 + k1) + 2.0 * k3) + k4) * sixth + x
 
     return advance
 
 
-def _lawson(rhs, h: float, delta: np.ndarray):
+def _lawson(rhs, dt: float, stride: int, delta: np.ndarray):
     """Lawson's integrating-factor RK4 step (SIAM J. Numer. Anal. 4, 372,
-    1967) of -Δ∘Xᵀ + N(X), N = rhs, before renormalization: with E the exact
-    phase rotation X -> cos(h Δ/2)∘X - sin(h Δ/2)∘Xᵀ over h/2,
+    1967) of -Δ∘Xᵀ + N(X), N = rhs, at h = ``stride`` dt from a step index,
+    before renormalization: with E the exact phase rotation
+    X -> cos(h Δ/2)∘X - sin(h Δ/2)∘Xᵀ over h/2,
         x_a = E x,  k1 = E N(x),  n2 = N(x_a + h/2 k1),  n3 = N(x_a + h/2 n2),
         n4 = N(E (x_a + h n3)),  x+ = E (x_a + h/6 (k1 + 2 n2 + 2 n3)) + h/6 n4.
     """
+    h = stride * dt
     half, sixth = 0.5 * h, h / 6.0
     cos, sin = np.cos(half * delta), np.sin(half * delta)
 
     def rotate(x):
         return cos * x - sin * x.T
 
-    def advance(x, t):
+    def advance(x, step):
+        t, mid, end = _stage_times(step, dt, stride)
         xa = rotate(x)
         k1 = rotate(rhs(x, t))
-        n2 = rhs(_stage(xa, half, k1), t + half)
-        n3 = rhs(_stage(xa, half, n2), t + half)
-        n4 = rhs(rotate(_stage(xa, h, n3)), t + h)
+        n2 = rhs(_stage(xa, half, k1), mid)
+        n3 = rhs(_stage(xa, half, n2), mid)
+        n4 = rhs(rotate(_stage(xa, h, n3)), end)
         return rotate(((k1 + 2.0 * n2) + 2.0 * n3) * sixth + xa) + sixth * n4
 
     return advance
@@ -285,20 +300,36 @@ def parity_blocks(dim: int, damped: bool) -> list[np.ndarray]:
     return [np.flatnonzero(key == k) for k in np.unique(key)]
 
 
-def _block_generator(idx: np.ndarray, model: Model) -> np.ndarray:
+def _block_generator(idx: np.ndarray, model: Model,
+                     mirror: np.ndarray | None = None) -> np.ndarray:
     """Rows and columns ``idx`` of the model's generator on row-major vec(X):
     column j is the model's right-hand side at the basis matrix of element
-    ``idx[j]``, read at ``idx``."""
+    ``idx[j]``, read at ``idx``.
+
+    Given ``mirror``, the indices of the transposes of ``idx``'s elements, it
+    is the complex P + iQ, with P each column read at ``idx`` and Q at
+    ``mirror``: on (X[idx], X[mirror]) the generator is [[P, -Q], [Q, P]],
+    so P + iQ is the same generator on z = X[idx] + i X[mirror], of half the
+    order and with half as many columns to build."""
     dim = model.levels.shape[0]
     basis = np.zeros(dim * dim)
-    block = np.empty((len(idx), len(idx)))
+    block = np.empty((len(idx), len(idx)), dtype=float if mirror is None else complex)
     for j, k in enumerate(idx):
         basis[k] = 1.0
         column = generators._lindblad_rhs(basis.reshape(dim, dim), model,
-                                          (model.op, None), model.c)
-        block[:, j] = column.ravel()[idx]
+                                          (model.op, None), model.c).ravel()
+        block.real[:, j] = column[idx]
+        if mirror is not None:
+            block.imag[:, j] = column[mirror]
         basis[k] = 0.0
     return block
+
+
+def _complex_half(idx: np.ndarray, dim: int) -> tuple[np.ndarray, np.ndarray]:
+    """(U, Uᵀ) of the undamped mixed block ``idx``: the row-major indices of
+    its (m even, n odd) elements and of their transposes."""
+    u = idx[idx // dim % 2 == 0]
+    return u, u % dim * dim + u // dim
 
 
 def propagate_blocks(rho0: np.ndarray, model: Model, t_end: float,
@@ -311,9 +342,13 @@ def propagate_blocks(rho0: np.ndarray, model: Model, t_end: float,
     L is never formed whole: each parity block of L on vec(X) is built from
     the right-hand side (``_block_generator``) and gets one ``expm`` per
     distinct sample interval (at most two), which carries that block's slice
-    of X from sample to sample, one block at a time.  A block whose slice of
-    X is all zero stays zero and gets no ``expm``: the vacuum and |n⟩ occupy
-    one block of three (of two with damping).  ``dt`` sets only the grid.
+    of X from sample to sample, one block at a time.  Without damping, the
+    mixed block, of real order 2 ⌈d/2⌉ ⌊d/2⌋, is the realification of a
+    complex block of order ⌈d/2⌉ ⌊d/2⌋ on z = X_mn + i X_nm, m even and n
+    odd (``_complex_half``), and is stepped as z; the other blocks, and every
+    damped one, stay real.  A block whose slice of X is all zero stays zero
+    and gets no ``expm``: the vacuum and |n⟩ occupy one block of three (of
+    two with damping).  ``dt`` sets only the grid.
     Renormalizing commutes with exp(L t), so each sample records its trace
     drift, divides X by its trace and reads rho = ``hermitian(X)``, and the
     division is not fed back.  Refuses a non-Hermitian rho0 and raises
@@ -323,15 +358,26 @@ def propagate_blocks(rho0: np.ndarray, model: Model, t_end: float,
     gaps = [b - a for a, b in zip(steps, steps[1:])]
     dim = rho0.shape[0]
     flat = np.zeros((len(steps), dim * dim))
-    flat[0] = _initial_form(rho0).ravel()
-    for idx in parity_blocks(dim, damped=bool(model.gamma)):
+    x0 = _initial_form(rho0)
+    flat[0] = x0.ravel()
+    damped = bool(model.gamma)
+    for idx in parity_blocks(dim, damped):
         if not flat[0, idx].any():
             continue
-        lv = _block_generator(idx, model)
+        mirror = None
+        if not damped and sum(divmod(int(idx[0]), dim)) % 2:  # m + n odd
+            idx, mirror = _complex_half(idx, dim)
+        lv = _block_generator(idx, model, mirror)
         props = {g: expm(lv * (g * dt)) for g in set(gaps)}
+        z = flat[0, idx].astype(lv.dtype)
+        if mirror is not None:
+            z.imag = flat[0, mirror]
         for i, g in enumerate(gaps, 1):
-            flat[i, idx] = props[g] @ flat[i - 1, idx]
-    samples = _Samples(rho0, dt, model.params.omega)
+            z = props[g] @ z
+            flat[i, idx] = z.real
+            if mirror is not None:
+                flat[i, mirror] = z.imag
+    samples = _Samples(x0, dt, model.params.omega)
     for step, vec in zip(steps[1:], flat[1:]):
         x = vec.reshape(dim, dim)
         trace = x.trace()

@@ -282,6 +282,34 @@ class TestSimulate:
         err = capsys.readouterr().err
         assert ((f"dt={dt:g}" in err and "2.78" in err) if code else err == "")
 
+    def test_rk4_stability_region_has_its_axis_limits(self):
+        # RK4 is stable down to -2.785 on the real axis and to ±√8 on the
+        # imaginary one; the rectangle's corner lies outside where both edges
+        # are within them
+        assert cli._rk4_stable(2.78, 0.0) and not cli._rk4_stable(2.79, 0.0)
+        assert cli._rk4_stable(0.0, 2.82) and not cli._rk4_stable(0.0, 2.84)
+        assert not cli._rk4_stable(2.0, 2.0)
+
+    def test_plain_rk4_step_past_the_phases_is_exit_2_naming_a_dt_that_completes(
+            self, tmp_path, capsys):
+        # dt s = 0.13 passes the real-axis check, but plain RK4 also steps the
+        # phases, up to dt max |Δ| = 3.9 > √8: the run blew up at omega*t = 10
+        kv = {"model": "gup-nonmarkov", "dim": 40, "initial_state": "superposition01",
+              "omega_tau_g": 1e6, "kernel": "exponential", "omega_tau_kernel": 2.0,
+              "t_end": 200.0, "json_out": str(tmp_path / "s.json")}
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert main(["simulate", "--config",
+                         write_config(tmp_path, dt=0.1, **kv)]) == 2
+            err = capsys.readouterr().err
+            assert "dt=0.1 " in err and "max |Δ| = 3.9" in err
+            dt = float(err.rsplit("take dt <= ", 1)[1])
+            assert 0.07 < dt < 0.1
+            assert main(["simulate", "--config", write_config(tmp_path, dt=dt, **kv)]) == 0
+        assert capsys.readouterr().err == ""
+        assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+        assert json.loads((tmp_path / "s.json").read_text())["diagnostics"]["step"] == dt
+
 
 class TestLawsonSweep:
     """The constant models' RK4 path, with its exact phases and the step rule

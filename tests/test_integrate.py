@@ -141,9 +141,9 @@ class TestPropagateBlocks:
         want = [expm(lv * t) @ rho0.ravel() for t in res.times_omega]
         assert np.max(np.abs(res.states.reshape(len(want), -1) - want)) < 1e-12
         assert np.max(res.trace_drift) < 1e-12
-        # every sample after rho0 (kept as given) is Hermitian bit for bit
-        evolved = res.states[1:]
-        assert np.array_equal(evolved, evolved.conj().swapaxes(1, 2))
+        # every sample, the state evolved from rho0 included, is Hermitian
+        # bit for bit
+        assert np.array_equal(res.states, res.states.conj().swapaxes(1, 2))
 
     @pytest.mark.parametrize("dim", [3, 8])
     @pytest.mark.parametrize("gamma", [0.0, 0.05])
@@ -161,6 +161,40 @@ class TestPropagateBlocks:
             for j, cols in enumerate(blocks):
                 if i != j:
                     assert np.all(lv[np.ix_(rows, cols)] == 0)
+
+    @pytest.mark.parametrize("dim", [3, 8, 9])
+    @pytest.mark.parametrize("model", ["gup-markov", "breuer"])
+    def test_complex_half_is_the_real_mixed_block(self, model, dim):
+        # on (X_U, X_Uᵀ) the real mixed block is [[P, -Q], [Q, P]], bit for bit
+        _, form = constant_form(model, 0.0, dim)
+        mixed = integrate.parity_blocks(dim, damped=False)[1]
+        u, ut = integrate._complex_half(mixed, dim)
+        assert np.array_equal(np.sort(np.concatenate([u, ut])), mixed)
+        assert len(u) == (dim + 1) // 2 * (dim // 2)
+        real = integrate._block_generator(np.concatenate([u, ut]), form)
+        half = integrate._block_generator(u, form, ut)
+        p, q, h = half.real, half.imag, len(u)
+        assert np.array_equal(real[:h, :h], p) and np.array_equal(real[h:, h:], p)
+        assert np.array_equal(real[h:, :h], q) and np.array_equal(real[:h, h:], -q)
+
+    @pytest.mark.parametrize("gamma", [0.0, 0.05])
+    @pytest.mark.parametrize("model", ["gup-markov", "breuer", "damping-only"])
+    def test_only_the_undamped_mixed_block_is_complex(self, monkeypatch, model, gamma):
+        dim = 9
+        _, form = constant_form(model, gamma, dim)
+        kinds = []
+
+        def recorded(a):
+            kinds.append((a.dtype.kind, a.shape[0]))
+            return expm(a)
+
+        monkeypatch.setattr(integrate, "expm", recorded)
+        integrate.propagate_blocks(fock.density(fock.superposition01(dim)), form,
+                                   1.3, 0.1, sample_every=4)
+        complex_half = [k for k in kinds if k[0] == "c"]
+        # two sample intervals: one expm each, of order 5 · 4
+        assert complex_half == ([] if gamma else [("c", 20)] * 2)
+        assert len(kinds) == 2 * (2 if gamma else 3)
 
     @pytest.mark.parametrize("t_end,dt,sample_every", [
         (0.0, 0.1, 3), (1.3, 0.1, 4), (1.2, 0.1, 4), (0.35, 0.1, 100),
@@ -205,23 +239,36 @@ class TestPropagateBlocks:
 def every_block_propagate(rho0, form, t_end, dt, sample_every):
     """``propagate_blocks`` on the real form X without its skip of empty
     blocks: every block of the generator on vec(X), built column by column
-    from the right-hand side at each basis matrix, gets its ``expm``."""
+    from the right-hand side at each basis matrix, gets its ``expm``.
+    Without damping, the mixed block is built on its (even, odd) columns
+    only, as P + iQ with Q each column read at the transposed elements, and
+    steps z = X_mn + i X_nm."""
     steps = integrate._sample_grid(integrate._step_count(t_end, dt), sample_every)
     gaps = [b - a for a, b in zip(steps, steps[1:])]
     dim = rho0.shape[0]
+    x0 = rho0.real + rho0.imag
     flat = np.empty((len(steps), dim * dim))
-    flat[0] = (rho0.real + rho0.imag).ravel()
+    flat[0] = x0.ravel()
+    m, n = np.divmod(np.arange(dim * dim), dim)
     for idx in integrate.parity_blocks(dim, damped=bool(form.gamma)):
-        lv = np.empty((len(idx), len(idx)))
-        for j, k in enumerate(idx):
+        mixed = not form.gamma and (m[idx[0]] + n[idx[0]]) % 2
+        cols = idx[m[idx] % 2 == 0] if mixed else idx
+        mirror = n[cols] * dim + m[cols]
+        lv = np.zeros((len(cols), len(cols)), dtype=complex if mixed else float)
+        for j, k in enumerate(cols):
             e = np.zeros(dim * dim)
             e[k] = 1.0
-            lv[:, j] = generators._lindblad_rhs(e.reshape(dim, dim), form,
-                                                (form.op, None), form.c).ravel()[idx]
+            column = generators._lindblad_rhs(e.reshape(dim, dim), form,
+                                              (form.op, None), form.c).ravel()
+            lv[:, j] = column[cols] + 1j * column[mirror] if mixed else column[cols]
         props = {g: expm(lv * (g * dt)) for g in set(gaps)}
+        z = flat[0, cols] + 1j * flat[0, mirror] if mixed else flat[0, cols]
         for i, g in enumerate(gaps, 1):
-            flat[i, idx] = props[g] @ flat[i - 1, idx]
-    samples = integrate._Samples(rho0, dt, form.params.omega)
+            z = props[g] @ z
+            flat[i, cols] = z.real
+            if mixed:
+                flat[i, mirror] = z.imag
+    samples = integrate._Samples(x0, dt, form.params.omega)
     for step, vec in zip(steps[1:], flat[1:]):
         x = vec.reshape(dim, dim)
         trace = np.trace(x)
@@ -299,17 +346,16 @@ def four_product_nonmarkov_rhs(p, dim):
 
 def real_reference_rk4(rho0, rhs, n_steps, dt, sample_every):
     """Sampled states of RK4 on the real form X = Re rho + Im rho, in
-    ``evolve``'s operation order: stages h k + X, the sum
-    (((2 k2 + k1) + 2 k3) + k4) dt/6 + X and X / tr X after every step, each
-    sample read back as (X + Xᵀ)/2 + i (X - Xᵀ)/2."""
+    ``evolve``'s operation order: stages h k + X at the times (step + j/2) dt,
+    the sum (((2 k2 + k1) + 2 k3) + k4) dt/6 + X and X / tr X after every
+    step, each sample read back as (X + Xᵀ)/2 + i (X - Xᵀ)/2."""
     x = rho0.real + rho0.imag
     states = [np.asarray(rho0, dtype=complex)]
     for step in range(n_steps):
-        t = step * dt
-        k1 = rhs(x, t)
-        k2 = rhs(0.5 * dt * k1 + x, t + 0.5 * dt)
-        k3 = rhs(0.5 * dt * k2 + x, t + 0.5 * dt)
-        k4 = rhs(dt * k3 + x, t + dt)
+        k1 = rhs(x, step * dt)
+        k2 = rhs(0.5 * dt * k1 + x, (step + 0.5) * dt)
+        k3 = rhs(0.5 * dt * k2 + x, (step + 0.5) * dt)
+        k4 = rhs(dt * k3 + x, (step + 1) * dt)
         x = (((2.0 * k2 + k1) + 2.0 * k3) + k4) * (dt / 6.0) + x
         x = x / np.trace(x)
         if (step + 1) % sample_every == 0 or step + 1 == n_steps:
@@ -454,8 +500,11 @@ class TestRk4Bytes:
         p = ModelParams.from_dimensionless(
             omega_tau_g=500.0, kernel=KernelSpec(kind="exponential", tau=2.0))
         integrate.evolve_nonmarkov(fock.density(fock.superposition01(6)), p, 2.0, 0.1)
-        # 20 steps: the two midpoint stages share a time, so at most 3 per step
-        assert 0 < len(built) <= 60 and len(set(built)) == len(built)
+        # 20 steps: the two midpoint stages share a time, and each step's end
+        # is bitwise the next one's start, so 2 per step and the first start
+        assert len(built) == 41 and len(set(built)) == len(built)
+        assert built == sorted({step * 0.1 for step in range(21)}
+                               | {(step + 0.5) * 0.1 for step in range(20)})
         desc = generators.model("gup-nonmarkov", p, 6)
         mr, mi = generators._memory_operator_at(built[-1], desc)
         assert not mr.flags.writeable and not mi.flags.writeable
