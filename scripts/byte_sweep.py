@@ -3,6 +3,8 @@
 
 Runs `decolab simulate` and `decolab wigner` over the four models, gamma
 {0, 0.03}, the vacuum, (|0>+|1>)/sqrt(2) and |1>, and each `--dim`;
+one damped `gup-markov` run on the exact blocks at rates far past any step
+(dim 4, c = 1e150, gamma = 1e300), which settles within its first sample;
 `decolab analytic` over the four models and both gammas; the
 white `gup-markov` (sampled every 20 steps and every step), OU `gup-nonmarkov`
 and white `breuer` ensembles at dim 16,
@@ -49,6 +51,11 @@ COMMON = {"omega_tau_g": 1e4, "omega_tau_d": 50.0, "beta_bar": 1.0, "ap_hw": 1e-
           "observables": "rho_00,abs_rho_01,re_rho_01,im_rho_01,rho_11",
           "grid_halfwidth": 4.0, "grid_points": 41}
 MEMORY = {"kernel": "exponential", "omega_tau_kernel": 2.0}
+# c = 1/(omega tau_G) = 1e150 and gamma = 1e300: the exact blocks' expm takes a
+# thousand squarings
+STIFF = {"model": "gup-markov", "dim": 4, "ap_hw": 1e100, "omega_tau_g": 1e-150,
+         "gamma_dimless": 1e300, "initial_state": "vacuum",
+         "observables": "rho_00,rho_11,rho_22"}
 # t_end is not a whole number of sample strides, so the last row is the end sample
 ANALYTIC = {"t_end": 10.0, "dt": 0.03}
 ENSEMBLES = {
@@ -101,6 +108,7 @@ def runs(out: pathlib.Path, dims):
             if model == "gup-nonmarkov":
                 cfg.update(MEMORY)
             yield configured(f"analytic-{model}-g{gamma:g}", "analytic", cfg)
+    yield configured("simulate-gup-markov-stiff-damped", "simulate", {**COMMON, **STIFF})
     for name, extra in ENSEMBLES.items():
         yield configured(name, "ensemble", {**COMMON, **ENSEMBLE, **extra})
     for model, (truth, t_max) in FITS.items():

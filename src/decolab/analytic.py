@@ -14,9 +14,8 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import expm
 
-from . import generators
+from . import generators, integrate
 from .exceptions import ConfigError, ValidityWarning
 from .generators import KernelSpec, ModelParams, PLANCK, energy_level
 
@@ -223,7 +222,7 @@ def damping_series_element(n1: int, n2: int, t: float, gamma: float,
         if j + 1 < chain:
             a[j, j + 1] = gamma * math.sqrt((n1 + j + 1) * (n2 + j + 1))
     r0 = np.array([rho0[n1 + j, n2 + j] for j in range(chain)])
-    return complex((expm(a * t) @ r0)[0])
+    return complex((integrate.expm(a * t) @ r0)[0])
 
 
 def ground_state_variance(theta, epsilon: float):

@@ -243,10 +243,12 @@ def _analytic_curves(cfg: RunConfig, times: np.ndarray) -> dict:
 
 
 #: Largest parity block, as the order of its real matrix on vec(X), that
-#: takes the exact propagator.  scipy's expm briefly holds about nine
-#: block-sized arrays, so its memory grows as dim⁴ where RK4's grows as dim².
-#: 512 is the largest block at dim 32, with or without damping, so it admits
-#: dim ≤ 32.  At dim 32 a damped breuer run peaked at 104 MB, RK4 at 80 MB.
+#: takes the exact propagator.  ``integrate.expm`` holds four block-sized
+#: arrays at its peak (4.0 blocks under tracemalloc at order 144, where
+#: scipy's Padé form held 8), so its memory grows as dim⁴ where RK4's grows
+#: as dim².  512 is the largest block at dim 32, with or without damping, so
+#: it admits dim ≤ 32.  At dim 32 a damped breuer run peaked at 95 MB, RK4
+#: at 80 MB.
 #: The undamped mixed block is stepped as its complex half, of half the
 #: order, but counts here by its real order, 2 ⌈dim/2⌉ ⌊dim/2⌋.
 EXACT_BLOCK_LIMIT = 512
@@ -269,31 +271,34 @@ def _rk4_stable(re: float, im: float) -> bool:
     return bool(np.max(np.abs(r)) <= 1.0 + 1e-12)
 
 
-def _check_rk4_step(cfg: RunConfig, m: generators.Model, phases: float = 0.0) -> float:
+def _check_rk4_step(cfg: RunConfig, m: generators.Model, phases: float = 0.0,
+                    dt_max: float = math.inf) -> float:
     """Exit 2 rather than blow up when dt is past RK4's stability limit for
     what it steps, whatever the state; else return the stiffness s of the
     double commutator and damping.  Their eigenvalues lie in [-s, 0], and
     ``phases`` = max |Δ| is the reach of the phases -Δ∘Xᵀ on the imaginary
-    axis when RK4 steps them too (0 when they are rotated exactly)."""
+    axis when RK4 steps them too (0 when they are rotated exactly).  The dt
+    a message names is at most ``dt_max``, the integrator's own limit, and
+    0.995 of the limit it found, so that its three digits do not round up
+    past either and a run at that dt completes."""
     a = np.linalg.eigvalsh(m.op)
     stiffness = m.c * (a[-1] - a[0]) ** 2 + m.gamma * (cfg.dim - 1)
     if cfg.dt * stiffness > RK4_REAL_LIMIT:
         raise ConfigError(
             f"dt={cfg.dt:.6g} is past RK4's stability limit: dt (c (a_max - a_min)² "
             f"+ gamma (dim - 1)) = {cfg.dt * stiffness:.3g} > {RK4_REAL_LIMIT}; "
-            f"take dt <= {RK4_REAL_LIMIT / stiffness:.3g}")
+            f"take dt <= {0.995 * min(RK4_REAL_LIMIT / stiffness, dt_max):.3g}")
     if math.isfinite(phases) and not _rk4_stable(cfg.dt * stiffness, cfg.dt * phases):
         # RK4 is stable on the imaginary axis up to |z| = √8
         lo, hi = 0.0, min(cfg.dt, math.sqrt(8.0) / phases)
         for _ in range(60):
             mid = 0.5 * (lo + hi)
             lo, hi = (mid, hi) if _rk4_stable(mid * stiffness, mid * phases) else (lo, mid)
-        # 0.995 lo keeps the three digits shown at or below lo
         raise ConfigError(
             f"dt={cfg.dt:.6g} is past RK4's stability region with the phases: "
             f"|R(z)| > 1 somewhere in -dt s <= Re z <= 0, |Im z| <= dt max |Δ| = "
             f"{cfg.dt * phases:.3g}, with s = c (a_max - a_min)² + gamma (dim - 1) "
-            f"= {stiffness:.3g}; take dt <= {0.995 * lo:.3g}")
+            f"= {stiffness:.3g}; take dt <= {0.995 * min(lo, dt_max):.3g}")
     return stiffness
 
 
@@ -309,8 +314,8 @@ def _evolve(cfg: RunConfig, rho0: np.ndarray) -> integrate.EvolutionResult:
         return integrate.propagate_blocks(rho0, m, cfg.t_end, cfg.dt,
                                           sample_every=cfg.sample_every)
     if cfg.model == "gup-nonmarkov":
-        # plain RK4 steps the phases too
-        _check_rk4_step(cfg, m, float(np.max(np.abs(m.delta))))
+        # plain RK4 steps the phases too, at dt <= tau/10 (evolve_nonmarkov)
+        _check_rk4_step(cfg, m, float(np.max(np.abs(m.delta))), m.tau / 10.0)
         return integrate.evolve_nonmarkov(rho0, m.params, cfg.t_end, cfg.dt,
                                           sample_every=cfg.sample_every)
     stiffness = _check_rk4_step(cfg, m)

@@ -241,7 +241,9 @@ class TestSimulate:
 
     @pytest.mark.parametrize("limit,scales,gamma", [
         (cli.EXACT_BLOCK_LIMIT, {"omega_tau_g": 1e-150}, 0.0),
-        (cli.EXACT_BLOCK_LIMIT, {"omega_tau_g": 1e-150}, 1e300),
+        # damping's rates gamma (m + n)/2 reach 3 gamma = inf at dim 4 (at
+        # gamma = 1e300 the run completes: test_stiff_damped_exact_blocks_...)
+        (cli.EXACT_BLOCK_LIMIT, {"omega_tau_g": 1e-150}, 1e308),
         # RK4's step check exits 2 on so large a c or gamma, and the phases
         # are rotated exactly, so there the levels themselves overflow
         # (0.375 ap_hw beta_bar = 3.75e399), under damping within the limit
@@ -259,6 +261,31 @@ class TestSimulate:
             assert main(["simulate", "--config", cfg]) == 3
         err = capsys.readouterr().err
         assert "numeric failure" in err and "Traceback" not in err
+
+    def test_stiff_damped_exact_blocks_end_at_the_rate_equations_steady_state(
+            self, tmp_path):
+        # c = 1e150 moves |0> to |2> at 2 c |K²_20|², gamma = 1e300 moves |2>
+        # to |1> at 2 gamma and |1> to |0> at gamma: within the first sample
+        # interval, a thousand squarings of expm, the populations settle at
+        # rho_22 = c |K²_20|² / gamma and rho_11 = 2 rho_22
+        kv = {"model": "gup-markov", "dim": 4, "ap_hw": 1e100, "omega_tau_g": 1e-150,
+              "gamma_dimless": 1e300, "observables": "rho_00,rho_11,rho_22",
+              "csv_out": str(tmp_path / "s.csv"), "json_out": str(tmp_path / "s.json")}
+        cfg = write_config(tmp_path, **kv)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["simulate", "--config", cfg]) == 0
+        run = RunConfig.from_file(cfg)
+        m = generators.model("gup-markov", run.model_params(), run.dim)
+        rho22 = m.c * m.op[2, 0] ** 2 / m.gamma
+        assert rho22 == pytest.approx(2.8125e-151, rel=1e-12)
+        rows = np.loadtxt(tmp_path / "s.csv", delimiter=",", skiprows=1)
+        for p00, p11, p22 in rows[1:, 2:]:
+            assert p00 == 1.0
+            assert p11 == pytest.approx(2.0 * rho22, rel=1e-12)
+            assert p22 == pytest.approx(rho22, rel=1e-12)
+        diag = json.loads((tmp_path / "s.json").read_text())["diagnostics"]
+        assert diag["propagator"] == "exact-blocks"
 
     @pytest.mark.parametrize("model,extra,dt,code", [
         # dt c (a_max - a_min)² = 62.8: RK4 blew up at omega*t = 1
@@ -290,12 +317,17 @@ class TestSimulate:
         assert cli._rk4_stable(0.0, 2.82) and not cli._rk4_stable(0.0, 2.84)
         assert not cli._rk4_stable(2.0, 2.0)
 
+    @pytest.mark.parametrize("tau_k,lo,hi", [
+        (2.0, 0.07, 0.1),
+        # the region allows dt 0.0722, past evolve_nonmarkov's tau/10 = 0.05
+        (0.5, 0.049, 0.05),
+    ])
     def test_plain_rk4_step_past_the_phases_is_exit_2_naming_a_dt_that_completes(
-            self, tmp_path, capsys):
+            self, tmp_path, capsys, tau_k, lo, hi):
         # dt s = 0.13 passes the real-axis check, but plain RK4 also steps the
         # phases, up to dt max |Δ| = 3.9 > √8: the run blew up at omega*t = 10
         kv = {"model": "gup-nonmarkov", "dim": 40, "initial_state": "superposition01",
-              "omega_tau_g": 1e6, "kernel": "exponential", "omega_tau_kernel": 2.0,
+              "omega_tau_g": 1e6, "kernel": "exponential", "omega_tau_kernel": tau_k,
               "t_end": 200.0, "json_out": str(tmp_path / "s.json")}
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
@@ -304,7 +336,7 @@ class TestSimulate:
             err = capsys.readouterr().err
             assert "dt=0.1 " in err and "max |Δ| = 3.9" in err
             dt = float(err.rsplit("take dt <= ", 1)[1])
-            assert 0.07 < dt < 0.1
+            assert lo < dt < hi
             assert main(["simulate", "--config", write_config(tmp_path, dt=dt, **kv)]) == 0
         assert capsys.readouterr().err == ""
         assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]

@@ -1,5 +1,7 @@
 import math
 import re
+import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -274,6 +276,91 @@ def every_block_propagate(rho0, form, t_end, dt, sample_every):
         trace = np.trace(x)
         samples.record(step, integrate.hermitian(x / trace), abs(float(trace) - 1.0))
     return samples.result("exact-blocks")
+
+
+def benchmark_blocks(t=200.0):
+    """The parity blocks of the undamped gup-markov run at dim 24 that the
+    benchmark's master-equation workload propagates (omega tau_G at the
+    middle of its range), times one 200 omega t sample interval: the real
+    (even, even) block, the complex half of the mixed one and the real
+    (odd, odd) block, each of order 144."""
+    dim = 24
+    form = generators.model("gup-markov", ModelParams.from_dimensionless(
+        omega_tau_g=125e3, beta_bar=1.0), dim)
+    even, mixed, odd = integrate.parity_blocks(dim, damped=False)
+    u, ut = integrate._complex_half(mixed, dim)
+    return [integrate._block_generator(idx, form, mirror) * t
+            for idx, mirror in ((even, None), (u, ut), (odd, None))]
+
+
+class TestExpm:
+    @pytest.mark.parametrize("which", [0, 1, 2], ids=["even", "mixed-complex", "odd"])
+    def test_matches_scipy_on_the_benchmark_blocks(self, which):
+        a = benchmark_blocks()[which]
+        assert a.shape == (144, 144)
+        want = expm(a)
+        assert np.max(np.abs(integrate.expm(a) - want)) <= 1e-11 * np.max(np.abs(want))
+
+    @pytest.mark.parametrize("norm", [1e-3, 1.0, 8.0])
+    @pytest.mark.parametrize("n", [1, 2, 5, 9])
+    @pytest.mark.parametrize("kind", ["real", "complex"])
+    def test_matches_scipy_on_small_random_matrices(self, kind, n, norm):
+        rng = np.random.default_rng(n)
+        for _ in range(4):
+            a = rng.normal(size=(n, n))
+            if kind == "complex":
+                a = a + 1j * rng.normal(size=(n, n))
+            a *= norm / np.abs(a).sum(axis=0).max()
+            want = expm(a)
+            got = integrate.expm(a)
+            assert got.dtype == want.dtype
+            assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+    @pytest.mark.parametrize("phase", [1.0, 1j, 1.0 + 1j])
+    def test_diagonal_input_stays_diagonal(self, phase):
+        d = phase * np.array([-30.0, -2.5, 0.0, 0.7, 3.0])
+        got = integrate.expm(np.diag(d))
+        assert np.array_equal(got, np.diag(np.diagonal(got)))
+        # to a few roundoffs of the largest entry: 2^7 squarings of
+        # exp(d / 2^7) hold each entry to an absolute, not a relative, error
+        assert np.max(np.abs(np.diagonal(got) - np.exp(d))) <= 4e-15 * np.exp(3.0)
+        assert np.array_equal(integrate.expm(np.zeros((4, 4))), np.eye(4))
+
+    def test_nilpotent_input_gives_its_finite_series(self):
+        n = 6
+        a = np.triu(np.random.default_rng(3).normal(size=(n, n)) * 3.0, 1)
+        want = sum(np.linalg.matrix_power(a, k) / math.factorial(k) for k in range(n))
+        got = integrate.expm(a)
+        # products of strictly upper triangular matrices keep their zeros
+        assert np.array_equal(np.tril(got, -1), np.zeros((n, n)))
+        assert np.array_equal(np.diagonal(got), np.ones(n))
+        assert np.max(np.abs(got - want)) <= 1e-15 * np.max(np.abs(want))
+        # an integer input is exponentiated as a float one
+        shift = np.eye(3, k=1, dtype=int)
+        assert np.array_equal(integrate.expm(shift),
+                              [[1.0, 1.0, 0.5], [0.0, 1.0, 1.0], [0.0, 0.0, 1.0]])
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("dtype", [float, complex])
+    def test_non_finite_input_gives_a_non_finite_result(self, bad, dtype):
+        a = np.eye(3, dtype=dtype)
+        a[0, 2] = bad
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = integrate.expm(a)
+        assert got.shape == (3, 3) and got.dtype == dtype
+        assert not np.all(np.isfinite(got))
+
+    def test_holds_at_most_five_blocks_on_the_complex_block(self):
+        # scipy's Pade form peaks at 8 blocks here, with LAPACK's solve on top
+        a = benchmark_blocks()[1]
+        tracemalloc.start()
+        try:
+            integrate.expm(a)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 5 * a.nbytes
 
 
 def reference_rk4(rho0, rhs, n_steps, dt, sample_every):
