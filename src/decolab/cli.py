@@ -3,7 +3,8 @@
 Subcommands: simulate, ensemble, fit, bounds, wigner, analytic.  Simulation
 runs are configured by a flat key=value file (unknown keys are errors) so a
 run is fully described by one artifact; every JSON summary embeds the
-resolved configuration with defaults materialized.
+resolved configuration with defaults materialized.  ``simulate`` and
+``wigner`` evolve by ``integrate.solve``: it picks the path, checks the step.
 
 Exit codes: 0 success; 2 configuration error (``ConfigError``, or an
 ``OSError`` from a path that cannot be read or written); 3 numeric failure
@@ -242,91 +243,10 @@ def _analytic_curves(cfg: RunConfig, times: np.ndarray) -> dict:
     return curves
 
 
-#: Largest parity block, as the order of its real matrix on vec(X), that
-#: takes the exact propagator.  ``integrate.expm`` holds four block-sized
-#: arrays at its peak (4.0 blocks under tracemalloc at order 144, where
-#: scipy's Padé form held 8), so its memory grows as dim⁴ where RK4's grows
-#: as dim².  512 is the largest block at dim 32, with or without damping, so
-#: it admits dim ≤ 32.  At dim 32 a damped breuer run peaked at 95 MB, RK4
-#: at 80 MB.
-#: The undamped mixed block is stepped as its complex half, of half the
-#: order, but counts here by its real order, 2 ⌈dim/2⌉ ⌊dim/2⌋.
-EXACT_BLOCK_LIMIT = 512
-
-
-#: RK4 is stable on the negative real axis down to h λ = -2.785; the
-#: eigenvalues of c [A, [A, ·]] are c (a_i - a_j)² for the eigenvalues a of A,
-#: and damping's reach gamma (dim - 1)
-RK4_REAL_LIMIT = 2.78
-
-
-def _rk4_stable(re: float, im: float) -> bool:
-    """Whether |R(z)| <= 1 for RK4's stability polynomial
-    R(z) = 1 + z + z²/2 + z³/6 + z⁴/24 over -re <= Re z <= 0, |Im z| <= im.
-    R is analytic and R(z̄) is the conjugate of R(z), so its largest modulus
-    there lies on the upper half of the rectangle's edge, sampled here."""
-    s = np.linspace(0.0, 1.0, 257)
-    z = np.concatenate([-re * s + 1j * im, -re + 1j * im * s, 1j * im * s])
-    r = 1.0 + z * (1.0 + z * (0.5 + z * (1.0 / 6.0 + z / 24.0)))
-    return bool(np.max(np.abs(r)) <= 1.0 + 1e-12)
-
-
-def _check_rk4_step(cfg: RunConfig, m: generators.Model, phases: float = 0.0,
-                    dt_max: float = math.inf) -> float:
-    """Exit 2 rather than blow up when dt is past RK4's stability limit for
-    what it steps, whatever the state; else return the stiffness s of the
-    double commutator and damping.  Their eigenvalues lie in [-s, 0], and
-    ``phases`` = max |Δ| is the reach of the phases -Δ∘Xᵀ on the imaginary
-    axis when RK4 steps them too (0 when they are rotated exactly).  The dt
-    a message names is at most ``dt_max``, the integrator's own limit, and
-    0.995 of the limit it found, so that its three digits do not round up
-    past either and a run at that dt completes."""
-    a = np.linalg.eigvalsh(m.op)
-    stiffness = m.c * (a[-1] - a[0]) ** 2 + m.gamma * (cfg.dim - 1)
-    if cfg.dt * stiffness > RK4_REAL_LIMIT:
-        raise ConfigError(
-            f"dt={cfg.dt:.6g} is past RK4's stability limit: dt (c (a_max - a_min)² "
-            f"+ gamma (dim - 1)) = {cfg.dt * stiffness:.3g} > {RK4_REAL_LIMIT}; "
-            f"take dt <= {0.995 * min(RK4_REAL_LIMIT / stiffness, dt_max):.3g}")
-    if math.isfinite(phases) and not _rk4_stable(cfg.dt * stiffness, cfg.dt * phases):
-        # RK4 is stable on the imaginary axis up to |z| = √8
-        lo, hi = 0.0, min(cfg.dt, math.sqrt(8.0) / phases)
-        for _ in range(60):
-            mid = 0.5 * (lo + hi)
-            lo, hi = (mid, hi) if _rk4_stable(mid * stiffness, mid * phases) else (lo, mid)
-        raise ConfigError(
-            f"dt={cfg.dt:.6g} is past RK4's stability region with the phases: "
-            f"|R(z)| > 1 somewhere in -dt s <= Re z <= 0, |Im z| <= dt max |Δ| = "
-            f"{cfg.dt * phases:.3g}, with s = c (a_max - a_min)² + gamma (dim - 1) "
-            f"= {stiffness:.3g}; take dt <= {0.995 * min(lo, dt_max):.3g}")
-    return stiffness
-
-
-def _evolve(cfg: RunConfig, rho0: np.ndarray) -> integrate.EvolutionResult:
-    """Evolve rho0 to t_end under the model's description: the one place a
-    model picks its generator, from ``generators`` at call time rather than at
-    import, and the one place a constant generator picks the exact block
-    propagator over RK4, where it leaves its phases to ``evolve``'s exact
-    rotation."""
-    m = generators.model(cfg.model, cfg.model_params(), cfg.dim)
-    blocks = integrate.parity_blocks(cfg.dim, damped=bool(m.gamma))
-    if cfg.model != "gup-nonmarkov" and max(map(len, blocks)) <= EXACT_BLOCK_LIMIT:
-        return integrate.propagate_blocks(rho0, m, cfg.t_end, cfg.dt,
-                                          sample_every=cfg.sample_every)
-    if cfg.model == "gup-nonmarkov":
-        # plain RK4 steps the phases too, at dt <= tau/10 (evolve_nonmarkov)
-        _check_rk4_step(cfg, m, float(np.max(np.abs(m.delta))), m.tau / 10.0)
-        return integrate.evolve_nonmarkov(rho0, m.params, cfg.t_end, cfg.dt,
-                                          sample_every=cfg.sample_every)
-    stiffness = _check_rk4_step(cfg, m)
-    rhs = generators.breuer_rhs if cfg.model == "breuer" else generators.gup_markov_rhs
-    return integrate.evolve(rho0, lambda x, t: rhs(x, m, phases=False), cfg.t_end,
-                            cfg.dt, sample_every=cfg.sample_every, omega=cfg.omega,
-                            phases=m.delta, reach=m.phase_spread + stiffness)
-
-
 def cmd_simulate(cfg: RunConfig) -> int:
-    result = _evolve(cfg, fock.density(cfg.parse_state(cfg.dim)))
+    m = generators.model(cfg.model, cfg.model_params(), cfg.dim)
+    result = integrate.solve(fock.density(cfg.parse_state(cfg.dim)), m, cfg.t_end,
+                             cfg.dt, sample_every=cfg.sample_every)
     observables = cfg.observable_names()
     if cfg.csv_out:
         result.to_csv(cfg.csv_out, observables)
@@ -403,7 +323,8 @@ def cmd_wigner(cfg: RunConfig) -> int:
     rho = fock.density(cfg.parse_state(cfg.dim))
     step = None
     if cfg.t_end > 0:
-        result = _evolve(cfg, rho)
+        m = generators.model(cfg.model, cfg.model_params(), cfg.dim)
+        result = integrate.solve(rho, m, cfg.t_end, cfg.dt, sample_every=cfg.sample_every)
         rho, step = result.states[-1], result.step
     axis = np.linspace(-cfg.grid_halfwidth, cfg.grid_halfwidth, cfg.grid_points)
     grid = fock.wigner(rho, axis, axis)

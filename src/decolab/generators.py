@@ -207,6 +207,7 @@ class Model:
     white (tau = 0) or Ornstein-Uhlenbeck (tau > 0) noise of strength kappa,
     so that c = g² kappa / 2."""
 
+    name: str            # one of MODELS
     levels: np.ndarray   # E_n of the diagonal H_RWA
     rates: np.ndarray    # R_ab = -i (E_a - E_b), so -i [H_RWA, rho] = R * rho
     delta: np.ndarray    # Δ_ab = E_a - E_b, real: R = -i Δ
@@ -264,8 +265,8 @@ def model(name: str, params: ModelParams, dim: int) -> Model:
     rates = -1j * delta
     for array in (levels, rates, delta):
         array.setflags(write=False)
-    return Model(levels, rates, delta, op, c, params.gamma_dimless, g, kappa, tau,
-                 params)
+    return Model(name, levels, rates, delta, op, c, params.gamma_dimless, g, kappa,
+                 tau, params)
 
 
 def h_rwa(dim: int, beta_bar: float, ap_hw: float) -> np.ndarray:

@@ -11,7 +11,8 @@ integrating-factor RK4, which rotates them exactly and steps only the rest.
 ``propagate_blocks`` samples the exact exp(L t) of the same generator on the
 same grid, one parity block of L on vec(X) at a time; without damping, the
 mixed block is stepped as its complex half z = X_mn + i X_nm (m even, n odd).
-Its matrix exponential, ``expm``, takes matrix products only.
+Its matrix exponential, ``expm``, takes matrix products only.  ``solve``
+picks one of the three for a model description and checks RK4's step.
 """
 
 from __future__ import annotations
@@ -27,9 +28,9 @@ from . import generators
 from .exceptions import ConfigError, PositivityError
 from .generators import Model, ModelParams
 
-__all__ = ["EvolutionResult", "evolve", "evolve_nonmarkov", "propagate_blocks",
-           "parity_blocks", "expm", "observable", "default_dt", "real_form",
-           "hermitian"]
+__all__ = ["EvolutionResult", "solve", "evolve", "evolve_nonmarkov",
+           "propagate_blocks", "parity_blocks", "expm", "observable", "default_dt",
+           "real_form", "hermitian"]
 
 #: 200 steps per oscillator period: plain RK4 steps the phases, up to
 #: (dim - 1) omega; Lawson's step rotates them exactly (``evolve``)
@@ -42,6 +43,20 @@ LAWSON_STEP_LIMIT = 0.42
 
 #: a sampled state whose smallest eigenvalue falls below this has lost positivity
 POSITIVITY_FLOOR = -1e-6
+
+#: Largest parity block, as the order of its real matrix on vec(X), that
+#: takes the exact propagator (``solve``).  ``expm`` holds four block-sized
+#: arrays at its peak, so its memory grows as dim⁴ where RK4's grows as dim².
+#: 512 is the largest block at dim 32, with or without damping, so it admits
+#: dim ≤ 32.  At dim 32 a damped breuer run peaked at 95 MB, RK4 at 80 MB.
+#: The undamped mixed block is stepped as its complex half, of half the
+#: order, but counts here by its real order, 2 ⌈dim/2⌉ ⌊dim/2⌋.
+EXACT_BLOCK_LIMIT = 512
+
+#: RK4 is stable on the negative real axis down to h λ = -2.785; the
+#: eigenvalues of c [A, [A, ·]] are c (a_i - a_j)² for the eigenvalues a of A,
+#: and damping's reach gamma (dim - 1)
+RK4_REAL_LIMIT = 2.78
 
 #: the even degree m of ``expm``'s Taylor polynomial, and the largest 1-norm
 #: θ it takes after scaling: θ^(m+1)/(m+1)! = 2⁻⁵³, so the truncation error's
@@ -431,7 +446,12 @@ def propagate_blocks(rho0: np.ndarray, model: Model, t_end: float,
         if not damped and sum(divmod(int(idx[0]), dim)) % 2:  # m + n odd
             idx, mirror = _complex_half(idx, dim)
         lv = _block_generator(idx, model, mirror)
-        props = {g: expm(lv * (g * dt)) for g in set(gaps)}
+        props = {g: expm(lv * (g * dt)) for g in dict.fromkeys(gaps)}
+        for g, prop in props.items():   # the squarings of a finite block overflowed
+            if not np.isfinite(prop).all() and np.isfinite(lv).all():
+                raise PositivityError(
+                    f"matrix exponential overflowed: exp(L t) of a parity block over omega*t="
+                    f"{g * dt:.6g} is not finite, with ‖L t‖₁ = {_norm1(lv) * g * dt:.3g}")
         z = flat[0, idx].astype(lv.dtype)
         if mirror is not None:
             z.imag = flat[0, mirror]
@@ -448,20 +468,77 @@ def propagate_blocks(rho0: np.ndarray, model: Model, t_end: float,
     return samples.result("exact-blocks")
 
 
+def _rk4_stable(re: float, im: float) -> bool:
+    """Whether |R(z)| <= 1 for RK4's stability polynomial
+    R(z) = 1 + z + z²/2 + z³/6 + z⁴/24 over -re <= Re z <= 0, |Im z| <= im.
+    R is analytic and R(z̄) is the conjugate of R(z), so its largest modulus
+    there lies on the upper half of the rectangle's edge, sampled here."""
+    s = np.linspace(0.0, 1.0, 257)
+    z = np.concatenate([-re * s + 1j * im, -re + 1j * im * s, 1j * im * s])
+    r = 1.0 + z * (1.0 + z * (0.5 + z * (1.0 / 6.0 + z / 24.0)))
+    return bool(np.max(np.abs(r)) <= 1.0 + 1e-12)
+
+
+def _check_step(model: Model, dt: float) -> float:
+    """ConfigError rather than a blow-up when dt is past RK4's limits for
+    what ``solve`` steps with it, whatever the state; else the stiffness s
+    of the double commutator and damping, whose eigenvalues lie in [-s, 0].
+    Plain RK4 also steps ``gup-nonmarkov``'s phases -Δ∘Xᵀ, up to max |Δ| on
+    the imaginary axis, at dt <= tau/10 for its memory kernel, if tau > 0.
+    A message names 0.995 of the limit it found, at most tau/10: a dt that
+    completes."""
+    a = np.linalg.eigvalsh(model.op)
+    stiffness = model.c * (a[-1] - a[0]) ** 2 + model.gamma * (len(a) - 1)
+    plain = model.name == "gup-nonmarkov"
+    phases = float(np.max(np.abs(model.delta))) if plain else 0.0
+    dt_max = model.tau / 10.0 if plain and model.tau else math.inf
+    if dt * stiffness > RK4_REAL_LIMIT:
+        raise ConfigError(
+            f"dt={dt:.6g} is past RK4's stability limit: dt (c (a_max - a_min)² "
+            f"+ gamma (dim - 1)) = {dt * stiffness:.3g} > {RK4_REAL_LIMIT}; "
+            f"take dt <= {0.995 * min(RK4_REAL_LIMIT / stiffness, dt_max):.3g}")
+    if math.isfinite(phases) and not _rk4_stable(dt * stiffness, dt * phases):
+        # RK4 is stable on the imaginary axis up to |z| = √8
+        lo, hi = 0.0, min(dt, math.sqrt(8.0) / phases)
+        for _ in range(60):
+            mid = 0.5 * (lo + hi)
+            lo, hi = (mid, hi) if _rk4_stable(mid * stiffness, mid * phases) else (lo, mid)
+        raise ConfigError(
+            f"dt={dt:.6g} is past RK4's stability region with the phases: "
+            f"|R(z)| > 1 somewhere in -dt s <= Re z <= 0, |Im z| <= dt max |Δ| = "
+            f"{dt * phases:.3g}, with s = c (a_max - a_min)² + gamma (dim - 1) "
+            f"= {stiffness:.3g}; take dt <= {0.995 * min(lo, dt_max):.3g}")
+    if dt > dt_max:
+        raise ConfigError(f"dt={dt:.3g} exceeds tau/10={dt_max:.3g}; reduce the step")
+    return stiffness
+
+
+def solve(rho0: np.ndarray, model: Model, t_end: float, dt: float = default_dt, *,
+          sample_every: int = 100) -> EvolutionResult:
+    """Evolve rho0 to t_end under a description from ``generators.model``:
+    the exact blocks for a constant generator (all but ``gup-nonmarkov``)
+    whose blocks have real order at most ``EXACT_BLOCK_LIMIT``, else Lawson's
+    step, or plain RK4 for ``gup-nonmarkov``; RK4 after ``_check_step``."""
+    nonmarkov = model.name == "gup-nonmarkov"
+    blocks = parity_blocks(rho0.shape[0], damped=bool(model.gamma))
+    if not nonmarkov and max(map(len, blocks)) <= EXACT_BLOCK_LIMIT:
+        return propagate_blocks(rho0, model, t_end, dt, sample_every=sample_every)
+    stiffness = _check_step(model, dt)
+    if nonmarkov:
+        return evolve(rho0, lambda x, t: generators.gup_nonmarkov_rhs(x, t, model),
+                      t_end, dt, sample_every=sample_every, omega=model.params.omega)
+    rhs = generators.breuer_rhs if model.name == "breuer" else generators.gup_markov_rhs
+    return evolve(rho0, lambda x, t: rhs(x, model, phases=False), t_end, dt,
+                  sample_every=sample_every, omega=model.params.omega,
+                  phases=model.delta, reach=model.phase_spread + stiffness)
+
+
 def evolve_nonmarkov(rho0: np.ndarray, params: ModelParams, t_end: float,
                      dt: float, *, sample_every: int = 100) -> EvolutionResult:
     """Evolve under the exponential-memory-kernel master equation, with
-    amplitude damping when ``params.gamma`` is non-zero.
-
-    The memory term is re-evaluated at every RK4 stage time.  Requires an
-    exponential kernel and dt at most a tenth of the (dimensionless)
-    correlation time.
-    """
+    amplitude damping when ``params.gamma`` is non-zero: ``solve`` of its
+    ``gup-nonmarkov`` description.  Requires an exponential kernel."""
     model = generators.model("gup-nonmarkov", params, rho0.shape[0])
-    tau = model.tau
-    if not tau:
+    if not model.tau:
         raise ConfigError("evolve_nonmarkov requires an exponential kernel")
-    if dt > tau / 10.0:
-        raise ConfigError(f"dt={dt:.3g} exceeds tau/10={tau / 10:.3g}; reduce the step")
-    return evolve(rho0, lambda x, t: generators.gup_nonmarkov_rhs(x, t, model),
-                  t_end, dt, sample_every=sample_every, omega=params.omega)
+    return solve(rho0, model, t_end, dt, sample_every=sample_every)

@@ -225,7 +225,7 @@ class TestSimulate:
         run = RunConfig.from_file(cfg)
         m = generators.model("gup-markov", run.model_params(), dim)
         # samples after steps 4, 8 and 10: the step divides 2 intervals
-        reach = m.phase_spread + cli._check_rk4_step(run, m)
+        reach = m.phase_spread + integrate._check_step(m, run.dt)
         stride = max(k for k in (1, 2) if k * dt * reach <= integrate.LAWSON_STEP_LIMIT)
         assert stride == 2
         diag = json.loads((tmp_path / "s.json").read_text())["diagnostics"]
@@ -240,10 +240,10 @@ class TestSimulate:
         assert (tmp_path / "cli.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
 
     @pytest.mark.parametrize("limit,scales,gamma", [
-        (cli.EXACT_BLOCK_LIMIT, {"omega_tau_g": 1e-150}, 0.0),
+        (integrate.EXACT_BLOCK_LIMIT, {"omega_tau_g": 1e-150}, 0.0),
         # damping's rates gamma (m + n)/2 reach 3 gamma = inf at dim 4 (at
         # gamma = 1e300 the run completes: test_stiff_damped_exact_blocks_...)
-        (cli.EXACT_BLOCK_LIMIT, {"omega_tau_g": 1e-150}, 1e308),
+        (integrate.EXACT_BLOCK_LIMIT, {"omega_tau_g": 1e-150}, 1e308),
         # RK4's step check exits 2 on so large a c or gamma, and the phases
         # are rotated exactly, so there the levels themselves overflow
         # (0.375 ap_hw beta_bar = 3.75e399), under damping within the limit
@@ -252,7 +252,7 @@ class TestSimulate:
     ], ids=["exact-blocks", "exact-blocks-damped", "rk4", "rk4-damped"])
     def test_overflowing_generator_is_exit_3(self, tmp_path, capsys, monkeypatch,
                                              limit, scales, gamma):
-        monkeypatch.setattr(cli, "EXACT_BLOCK_LIMIT", limit)
+        monkeypatch.setattr(integrate, "EXACT_BLOCK_LIMIT", limit)
         cfg = write_config(tmp_path, model="gup-markov", dim=4, ap_hw=1e100,
                            gamma_dimless=gamma, json_out=str(tmp_path / "s.json"),
                            **scales)
@@ -261,6 +261,19 @@ class TestSimulate:
             assert main(["simulate", "--config", cfg]) == 3
         err = capsys.readouterr().err
         assert "numeric failure" in err and "Traceback" not in err
+
+    def test_overflowing_squarings_name_the_matrix_exponential(self, tmp_path, capsys):
+        # c = 1e150 without damping: the block is finite, but the squarings of
+        # its exponential overflow, which the message names rather than a state
+        cfg = write_config(tmp_path, model="gup-markov", dim=4, ap_hw=1e100,
+                           omega_tau_g=1e-150, json_out=str(tmp_path / "s.json"))
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            assert main(["simulate", "--config", cfg]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("numeric failure: matrix exponential overflowed: exp(L t) "
+                              "of a parity block over omega*t=")
+        assert "is not finite, with ‖L t‖₁ = 1.56e+151" in err
 
     def test_stiff_damped_exact_blocks_end_at_the_rate_equations_steady_state(
             self, tmp_path):
@@ -313,13 +326,13 @@ class TestSimulate:
         # RK4 is stable down to -2.785 on the real axis and to ±√8 on the
         # imaginary one; the rectangle's corner lies outside where both edges
         # are within them
-        assert cli._rk4_stable(2.78, 0.0) and not cli._rk4_stable(2.79, 0.0)
-        assert cli._rk4_stable(0.0, 2.82) and not cli._rk4_stable(0.0, 2.84)
-        assert not cli._rk4_stable(2.0, 2.0)
+        assert integrate._rk4_stable(2.78, 0.0) and not integrate._rk4_stable(2.79, 0.0)
+        assert integrate._rk4_stable(0.0, 2.82) and not integrate._rk4_stable(0.0, 2.84)
+        assert not integrate._rk4_stable(2.0, 2.0)
 
     @pytest.mark.parametrize("tau_k,lo,hi", [
         (2.0, 0.07, 0.1),
-        # the region allows dt 0.0722, past evolve_nonmarkov's tau/10 = 0.05
+        # the region allows dt 0.0722, past the memory kernel's tau/10 = 0.05
         (0.5, 0.049, 0.05),
     ])
     def test_plain_rk4_step_past_the_phases_is_exit_2_naming_a_dt_that_completes(
@@ -360,7 +373,7 @@ class TestLawsonSweep:
     @pytest.mark.parametrize("model,coupling", list(SCALES))
     def test_step_rule_is_no_worse_than_rk4(self, monkeypatch, model, coupling,
                                             gamma, dim):
-        monkeypatch.setattr(cli, "EXACT_BLOCK_LIMIT", 0)
+        monkeypatch.setattr(integrate, "EXACT_BLOCK_LIMIT", 0)
         # the two states share the blocks of fock(1): one expm each
         cache = {}
 
@@ -383,7 +396,8 @@ class TestLawsonSweep:
                                                sample_every=800).states
             rk4 = integrate.evolve(rho0, lambda x, t: rhs(x, m), 40.0, 0.05,
                                    sample_every=800).states
-            got = cli._evolve(cfg, rho0)
+            got = integrate.solve(rho0, m, cfg.t_end, cfg.dt,
+                                  sample_every=cfg.sample_every)
             assert got.step >= 0.05
 
             def pop(states):

@@ -53,6 +53,12 @@ class TestConstantsAndParams:
         assert generators.model("gup-markov", p, 3).c == pytest.approx(1 / 125e3)
         assert generators.model("breuer", p, 3).c == pytest.approx(0.5 / 2e4)
 
+    @pytest.mark.parametrize("name", generators.MODELS)
+    def test_description_carries_its_model_name(self, name):
+        p = ModelParams.from_dimensionless(
+            omega_tau_g=500.0, kernel=KernelSpec(kind="exponential", tau=2.0))
+        assert generators.model(name, p, 6).name == name
+
     @pytest.mark.parametrize("ap_hw", [0.0, 1e-200, 1e200])
     def test_finite_omega_tau_g_needs_a_coupling(self, ap_hw):
         with pytest.raises(ValueError, match="ap_hw"):

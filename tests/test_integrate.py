@@ -771,6 +771,32 @@ class TestNonMarkov:
         with pytest.raises(ConfigError, match="exceeds tau/10"):
             integrate.evolve_nonmarkov(rho0, p, 1.0, 0.02)
 
+    def test_step_past_the_phases_is_refused_naming_a_dt_that_completes(self):
+        # plain RK4 steps the phases up to dt max |Δ| = 3.9 > √8 at dim 40: the
+        # library's call is refused as the command line's is, before any step
+        p = ModelParams.from_dimensionless(
+            omega_tau_g=1e6, kernel=KernelSpec(kind="exponential", tau=2.0))
+        rho0 = fock.density(fock.superposition01(40))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(ConfigError, match="take dt <= ") as info:
+                integrate.evolve_nonmarkov(rho0, p, 40.0, 0.1)
+            dt = float(str(info.value).rsplit("take dt <= ", 1)[1])
+            assert 0.07 < dt < 0.1
+            res = integrate.evolve_nonmarkov(rho0, p, 40.0, dt, sample_every=100)
+        assert res.times_omega[-1] == pytest.approx(40.0, abs=dt)
+        assert np.min(res.min_eigenvalue) > -1e-12
+
+    def test_solve_refuses_a_delta_kernel_by_the_memory_integral(self):
+        # a delta kernel has no tau/10 to cap the step: the memory integral
+        # refuses it, and the phase check names a dt above 0
+        p = ModelParams.from_dimensionless(omega_tau_g=1e6)
+        for dim, match in ((12, "memory integral needs an exponential kernel"),
+                           (40, r"take dt <= 0\.0722$")):
+            m = generators.model("gup-nonmarkov", p, dim)
+            with pytest.raises(ConfigError, match=match):
+                integrate.solve(fock.density(fock.superposition01(dim)), m, 4.0, 0.1)
+
     def test_no_noise_keeps_purity(self):
         p = ModelParams.from_dimensionless(
             beta_bar=1.0, kernel=KernelSpec(kind="exponential", tau=0.5))
