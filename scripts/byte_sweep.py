@@ -5,9 +5,11 @@ Runs `decolab simulate` and `decolab wigner` over the four models, gamma
 {0, 0.03}, the vacuum, (|0>+|1>)/sqrt(2) and |1>, and each `--dim`;
 two `gup-markov` runs on the exact blocks at rates far past any step (dim 4,
 c = 1e150): undamped, whose matrix exponential overflows (exit 3), and at
-gamma = 1e300, which settles within its first sample; one `gup-nonmarkov`
-run at dim 40 and dt 0.1, past plain RK4's stability region with the phases
-(exit 2);
+gamma = 1e300, which settles within its first sample; two `gup-markov`
+runs on the exact blocks at dim 24, damped and not, whose last sample
+interval is half the others, so each block takes two matrix exponentials;
+one `gup-nonmarkov` run at dim 40 and dt 0.1, past plain RK4's stability
+region with the phases (exit 2);
 `decolab analytic` over the four models and both gammas; the
 white `gup-markov` (sampled every 20 steps and every step), OU `gup-nonmarkov`
 and white `breuer` ensembles at dim 16,
@@ -63,6 +65,10 @@ STIFF = {"model": "gup-markov", "dim": 4, "ap_hw": 1e100, "omega_tau_g": 1e-150,
 PHASES = {"model": "gup-nonmarkov", "dim": 40, "ap_hw": 1.5e-33, "beta_bar": 0.0,
           "omega_tau_g": 1e6, "initial_state": "superposition01", "dt": 0.1,
           **MEMORY}
+# t_end is 10.5 sample strides: every block takes one expm of the generator
+# scaled in a copy, for the whole stride, and one scaled in place, for the half
+TWO_INTERVALS = {"model": "gup-markov", "dim": 24, "initial_state": "superposition01",
+                 "t_end": 21.0}
 #: the runs that the sweep expects to fail, with their exit codes
 REFUSED = {"simulate-gup-markov-stiff": 3, "simulate-gup-nonmarkov-phases-d40": 2}
 # t_end is not a whole number of sample strides, so the last row is the end sample
@@ -120,6 +126,9 @@ def runs(out: pathlib.Path, dims):
     yield configured("simulate-gup-markov-stiff", "simulate", {**COMMON, **STIFF})
     yield configured("simulate-gup-markov-stiff-damped", "simulate",
                      {**COMMON, **STIFF, "gamma_dimless": 1e300})
+    for gamma in (0.0, 0.03):
+        yield configured(f"simulate-gup-markov-g{gamma:g}-sup01-d24-two-intervals",
+                         "simulate", {**COMMON, **TWO_INTERVALS, "gamma_dimless": gamma})
     yield configured("simulate-gup-nonmarkov-phases-d40", "simulate", {**COMMON, **PHASES})
     for name, extra in ENSEMBLES.items():
         yield configured(name, "ensemble", {**COMMON, **ENSEMBLE, **extra})

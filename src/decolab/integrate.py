@@ -45,10 +45,12 @@ LAWSON_STEP_LIMIT = 0.42
 POSITIVITY_FLOOR = -1e-6
 
 #: Largest parity block, as the order of its real matrix on vec(X), that
-#: takes the exact propagator (``solve``).  ``expm`` holds four block-sized
-#: arrays at its peak, so its memory grows as dim⁴ where RK4's grows as dim².
-#: 512 is the largest block at dim 32, with or without damping, so it admits
-#: dim ≤ 32.  At dim 32 a damped breuer run peaked at 95 MB, RK4 at 80 MB.
+#: takes the exact propagator (``solve``).  ``propagate_blocks`` holds four
+#: arrays of a block's size at its peak, five with two sample intervals, so
+#: its memory grows as dim⁴ where RK4's grows as dim².  512 is the largest
+#: block at dim 32, with or without damping, so it admits dim ≤ 32.  At dim
+#: 32 a damped breuer run with two sample intervals peaked at 90 MB, RK4 at
+#: 82 MB.
 #: The undamped mixed block is stepped as its complex half, of half the
 #: order, but counts here by its real order, 2 ⌈dim/2⌉ ⌊dim/2⌋.
 EXACT_BLOCK_LIMIT = 512
@@ -355,7 +357,7 @@ def _norm1(a: np.ndarray) -> float:
     return float(np.abs(a).sum(axis=0).max(initial=0.0))
 
 
-def expm(a: np.ndarray) -> np.ndarray:
+def expm(a: np.ndarray, *, overwrite_a: bool = False) -> np.ndarray:
     """exp(a) of a square real or complex matrix, from matrix products only.
 
     Scaling and squaring of the degree-m Taylor polynomial T (m =
@@ -369,7 +371,9 @@ def expm(a: np.ndarray) -> np.ndarray:
     away rather than doubling it at every step: so a trace-preserving block
     at ‖a‖₁ ~ 1e301, a thousand squarings, still ends at its steady state.
     No linear solve, as in a Padé form, and at most four arrays of a's size
-    live: b, b² and two for Y.  A non-finite 1-norm gives a NaN matrix.
+    live besides a: b, b² and two for Y.  With ``overwrite_a`` a float or
+    complex a is scaled in place and is b, so four in all; otherwise a is
+    never written.  A non-finite 1-norm gives a NaN matrix.
     """
     a = np.asarray(a)
     a = a.astype(np.result_type(a, float), copy=False)
@@ -378,7 +382,8 @@ def expm(a: np.ndarray) -> np.ndarray:
         return np.full(a.shape, np.nan, a.dtype)
     s = max(0, math.ceil(math.log2(norm / TAYLOR_THETA))) if norm else 0
     c, m = _TAYLOR, TAYLOR_DEGREE
-    b = a * 2.0 ** -s
+    b = np.multiply(a, 2.0 ** -s, out=a if overwrite_a else None)
+    del a
     b2 = b @ b
     y = np.multiply(b2, c[m])
     t = np.multiply(b, c[m - 1])
@@ -420,7 +425,12 @@ def propagate_blocks(rho0: np.ndarray, model: Model, t_end: float,
     L is never formed whole: each parity block of L on vec(X) is built from
     the right-hand side (``_block_generator``) and gets one ``expm`` per
     distinct sample interval (at most two), which carries that block's slice
-    of X from sample to sample, one block at a time.  Without damping, the
+    of X from sample to sample, one block at a time.  The block is scaled
+    by the last interval in place, and by an earlier one in a copy, and
+    ``expm`` scales that buffer on, so four arrays of the block's size live
+    at once (b, b², Y and a product buffer), five with an earlier interval's
+    propagator; the block's generator, propagators and slice of X are
+    released before the next block is built.  Without damping, the
     mixed block, of real order 2 ⌈d/2⌉ ⌊d/2⌋, is the realification of a
     complex block of order ⌈d/2⌉ ⌊d/2⌋ on z = X_mn + i X_nm, m even and n
     odd (``_complex_half``), and is stepped as z; the other blocks, and every
@@ -434,6 +444,7 @@ def propagate_blocks(rho0: np.ndarray, model: Model, t_end: float,
     """
     steps = _sample_grid(_step_count(t_end, dt), sample_every)
     gaps = [b - a for a, b in zip(steps, steps[1:])]
+    intervals = list(dict.fromkeys(gaps))
     dim = rho0.shape[0]
     flat = np.zeros((len(steps), dim * dim))
     x0 = _initial_form(rho0)
@@ -446,20 +457,26 @@ def propagate_blocks(rho0: np.ndarray, model: Model, t_end: float,
         if not damped and sum(divmod(int(idx[0]), dim)) % 2:  # m + n odd
             idx, mirror = _complex_half(idx, dim)
         lv = _block_generator(idx, model, mirror)
-        props = {g: expm(lv * (g * dt)) for g in dict.fromkeys(gaps)}
-        for g, prop in props.items():   # the squarings of a finite block overflowed
-            if not np.isfinite(prop).all() and np.isfinite(lv).all():
-                raise PositivityError(
-                    f"matrix exponential overflowed: exp(L t) of a parity block over omega*t="
-                    f"{g * dt:.6g} is not finite, with ‖L t‖₁ = {_norm1(lv) * g * dt:.3g}")
+        norm, finite = _norm1(lv), bool(np.isfinite(lv).all())
         z = flat[0, idx].astype(lv.dtype)
         if mirror is not None:
             z.imag = flat[0, mirror]
+        props = {}
+        for g in intervals:
+            # an overflow in the squarings is named below, not warned about
+            with np.errstate(over="ignore", invalid="ignore"):
+                props[g] = expm(np.multiply(lv, g * dt, out=lv if g == intervals[-1] else None),
+                                overwrite_a=True)
+            if not np.isfinite(props[g]).all() and finite:
+                raise PositivityError(
+                    f"matrix exponential overflowed: exp(L t) of a parity block over omega*t="
+                    f"{g * dt:.6g} is not finite, with ‖L t‖₁ = {norm * g * dt:.3g}")
         for i, g in enumerate(gaps, 1):
             z = props[g] @ z
             flat[i, idx] = z.real
             if mirror is not None:
                 flat[i, mirror] = z.imag
+        del lv, props, z   # before the next block is built
     samples = _Samples(x0, dt, model.params.omega)
     for step, vec in zip(steps[1:], flat[1:]):
         x = vec.reshape(dim, dim)

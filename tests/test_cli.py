@@ -264,12 +264,14 @@ class TestSimulate:
 
     def test_overflowing_squarings_name_the_matrix_exponential(self, tmp_path, capsys):
         # c = 1e150 without damping: the block is finite, but the squarings of
-        # its exponential overflow, which the message names rather than a state
+        # its exponential overflow, which the message names rather than a state,
+        # and names alone: numpy's overflow warnings are not printed before it
         cfg = write_config(tmp_path, model="gup-markov", dim=4, ap_hw=1e100,
                            omega_tau_g=1e-150, json_out=str(tmp_path / "s.json"))
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
             assert main(["simulate", "--config", cfg]) == 3
+        assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
         err = capsys.readouterr().err
         assert err.startswith("numeric failure: matrix exponential overflowed: exp(L t) "
                               "of a parity block over omega*t=")
@@ -377,7 +379,7 @@ class TestLawsonSweep:
         # the two states share the blocks of fock(1): one expm each
         cache = {}
 
-        def cached_expm(a):
+        def cached_expm(a, overwrite_a=False):
             key = a.tobytes()
             if key not in cache:
                 cache[key] = expm(a)

@@ -186,7 +186,7 @@ class TestPropagateBlocks:
         _, form = constant_form(model, gamma, dim)
         kinds = []
 
-        def recorded(a):
+        def recorded(a, overwrite_a=False):
             kinds.append((a.dtype.kind, a.shape[0]))
             return expm(a)
 
@@ -224,7 +224,7 @@ class TestPropagateBlocks:
         rho0 = fock.density(psi)
         calls = []
 
-        def counted(a):
+        def counted(a, overwrite_a=False):
             calls.append(a.shape)
             return expm(a)
 
@@ -236,6 +236,28 @@ class TestPropagateBlocks:
         assert res.states.tobytes() == want.states.tobytes()
         for name in ("trace_drift", "min_eigenvalue"):
             assert getattr(res, name).tobytes() == getattr(want, name).tobytes()
+
+    @pytest.mark.parametrize("gamma", [0.0, 0.05])
+    @pytest.mark.parametrize("t_end,intervals", [(2.0, 1), (2.1, 2)])
+    def test_holds_four_block_arrays_and_one_per_earlier_interval(self, gamma,
+                                                                  t_end, intervals):
+        # expm's b, b², Y and its product buffer, b being the generator scaled
+        # in place, and the propagator of an earlier interval.  The largest
+        # block is the complex half of order 8 · 8 without damping, and either
+        # real block of order 128 with it.  At the peak the run also holds its
+        # real sample rows, half the bytes of its complex output states
+        dim = 16
+        _, form = constant_form("gup-markov", gamma, dim)
+        block = 128 * 128 * 8 if gamma else 64 * 64 * 16
+        rho0 = fock.density(fock.superposition01(dim))
+        tracemalloc.start()
+        try:
+            res = integrate.propagate_blocks(rho0, form, t_end, 0.1, sample_every=2)
+            outputs, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(set(np.diff(res.times_omega).round(9))) == intervals
+        assert peak - outputs <= (3 + intervals) * block
 
 
 def every_block_propagate(rho0, form, t_end, dt, sample_every):
