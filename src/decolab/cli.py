@@ -311,10 +311,8 @@ def cmd_analytic(cfg: RunConfig) -> int:
     times = np.array(steps) * cfg.dt
     p00, coh, p11 = _closed_forms(cfg, times)
     if cfg.csv_out:
-        with open(cfg.csv_out, "w") as fh:
-            fh.write("t_omega,p00,abs_coh01,p11\n")
-            for i, t in enumerate(times):
-                fh.write(f"{t:.12g},{p00[i]:.12g},{coh[i]:.12g},{p11[i]:.12g}\n")
+        integrate._write_csv(cfg.csv_out, [("t_omega", times), ("p00", p00),
+                                           ("abs_coh01", coh), ("p11", p11)])
     _write_json(cfg.json_out, {"command": "analytic", "config": cfg.resolved()})
     return 0
 

@@ -202,15 +202,14 @@ def energy_level(n, beta_bar: float = 0.0, ap_hw: float = 0.0):
 @dataclass(frozen=True, eq=False)
 class Model:
     """One fluctuation model at given scales and cutoff, in omega*t units: its
-    master equation R * rho - c [A, [A, rho]] plus damping, and the noise
+    master equation -i Δ * rho - c [A, [A, rho]] plus damping, and the noise
     average of the random unitary exp(-i g xi A) that unravels it, with xi a
     white (tau = 0) or Ornstein-Uhlenbeck (tau > 0) noise of strength kappa,
     so that c = g² kappa / 2."""
 
     name: str            # one of MODELS
     levels: np.ndarray   # E_n of the diagonal H_RWA
-    rates: np.ndarray    # R_ab = -i (E_a - E_b), so -i [H_RWA, rho] = R * rho
-    delta: np.ndarray    # Δ_ab = E_a - E_b, real: R = -i Δ
+    delta: np.ndarray    # Δ_ab = E_a - E_b, so -i [H_RWA, rho] = -i Δ * rho
     op: np.ndarray       # A: K² or K, real and read-only
     c: float             # double-commutator rate
     gamma: float         # amplitude-damping rate
@@ -226,9 +225,9 @@ class Model:
 
     @cached_property
     def memory_parts(self) -> tuple[np.ndarray, np.ndarray]:
-        """(z, 2z) of the memory operator, with z = 1 - tau R: its parts that
+        """(z, 2z) of the memory operator, with z = 1 + i tau Δ: its parts that
         do not depend on t, built on first use."""
-        z = 1.0 - self.tau * self.rates
+        z = 1.0 + 1j * (self.tau * self.delta)
         return z, 2.0 * z
 
     @cached_property
@@ -262,11 +261,9 @@ def model(name: str, params: ModelParams, dim: int) -> Model:
     else:
         raise ValueError(f"unknown model {name!r}; choose from {MODELS}")
     delta = levels[:, None] - levels[None, :]
-    rates = -1j * delta
-    for array in (levels, rates, delta):
+    for array in (levels, delta):
         array.setflags(write=False)
-    return Model(name, levels, rates, delta, op, c, params.gamma_dimless, g, kappa,
-                 tau, params)
+    return Model(name, levels, delta, op, c, params.gamma_dimless, g, kappa, tau, params)
 
 
 def h_rwa(dim: int, beta_bar: float, ap_hw: float) -> np.ndarray:

@@ -87,18 +87,18 @@ class EvolutionResult:
 
     def to_csv(self, path, observables: Sequence[str]) -> None:
         """Write `t_omega,t_seconds,<obs>...` rows for the declared observables."""
-        _write_csv(path, self.times_omega, self.omega,
-                   [(name, self.expect(name)) for name in observables])
+        t = self.times_omega
+        _write_csv(path, [("t_omega", t), ("t_seconds", t / self.omega),
+                          *((name, self.expect(name)) for name in observables)])
 
 
-def _write_csv(path, times_omega: np.ndarray, omega: float, columns) -> None:
-    """Write `t_omega,t_seconds,<name>...` rows from (name, values) pairs."""
+def _write_csv(path, columns) -> None:
+    """Write a header of the names and `.12g` rows from (name, values) columns."""
+    names, values = zip(*columns)
     with open(path, "w") as fh:
-        fh.write("t_omega,t_seconds," + ",".join(name for name, _ in columns) + "\n")
-        for i, t in enumerate(times_omega):
-            row = [f"{t:.12g}", f"{t / omega:.12g}"]
-            row += [f"{values[i]:.12g}" for _, values in columns]
-            fh.write(",".join(row) + "\n")
+        fh.write(",".join(names) + "\n")
+        for row in zip(*values):
+            fh.write(",".join(f"{v:.12g}" for v in row) + "\n")
 
 
 _OBS_RE = re.compile(r"^(re_|im_|abs_)?rho_(\d+)_?(\d+)$")
@@ -179,34 +179,31 @@ def _stage(x: np.ndarray, h: float, k: np.ndarray) -> np.ndarray:
     return out
 
 
-class _Samples:
-    """Sampled states and their diagnostics, checked as they are added; the
-    first is the state evolved, ``hermitian(x0)`` of the initial real form."""
+class _Samples(EvolutionResult):
+    """A run's result, allocated at its final size from the sample grid
+    ``steps``; each ``record`` fills and checks the next sample.  The first is
+    the state evolved, ``hermitian(x0)`` of the initial real form."""
 
-    def __init__(self, x0: np.ndarray, dt: float, omega: float):
-        self.dt, self.omega = dt, omega
-        self.times, self.states, self.tdrift, self.mineig = [], [], [], []
-        self.record(0, hermitian(x0), abs(float(x0.trace()) - 1.0))
+    def __init__(self, x0: np.ndarray, steps: Sequence[int], dt: float, omega: float,
+                 propagator: str, step: float | None = None):
+        n = len(steps)
+        super().__init__(np.array(steps) * dt, np.empty((n, *x0.shape), dtype=complex),
+                         omega, np.empty(n), np.empty(n), propagator, step)
+        self._next = 0
+        self.record(x0, abs(float(x0.trace()) - 1.0))
 
-    def record(self, step: int, rho: np.ndarray, trace_drift: float) -> None:
-        t = step * self.dt
-        self.times.append(t)
-        self.states.append(rho.copy())
-        self.tdrift.append(trace_drift)
+    def record(self, x: np.ndarray, trace_drift: float) -> None:
+        """Write rho = ``hermitian(x)`` and its trace drift into the next slot."""
+        i, self._next = self._next, self._next + 1
+        rho, t = self.states[i], self.times_omega[i]
+        rho[...] = hermitian(x)
+        self.trace_drift[i] = trace_drift
         if not np.all(np.isfinite(rho)):
             raise PositivityError(f"state is not finite at omega*t={t:.6g}")
-        lo = float(np.linalg.eigvalsh(rho)[0])
-        self.mineig.append(lo)
+        lo = self.min_eigenvalue[i] = float(np.linalg.eigvalsh(rho)[0])
         if lo < POSITIVITY_FLOOR:
             raise PositivityError(
                 f"state lost positivity at omega*t={t:.6g} (min eig {lo:.3e})")
-
-    def result(self, propagator: str, step: float | None = None) -> EvolutionResult:
-        return EvolutionResult(
-            times_omega=np.array(self.times), states=np.array(self.states),
-            omega=self.omega, trace_drift=np.array(self.tdrift),
-            min_eigenvalue=np.array(self.mineig),
-            propagator=propagator, step=step)
 
 
 def evolve(rho0: np.ndarray, rhs: Callable[[np.ndarray, float], np.ndarray],
@@ -230,17 +227,17 @@ def evolve(rho0: np.ndarray, rhs: Callable[[np.ndarray, float], np.ndarray],
     only the grid and the least h.
 
     After every step X is renormalized to unit trace (tr rho = tr X); a
-    sampled step records the trace drift before that and rho =
-    ``hermitian(X)``, Hermitian by construction; sample 0 is the state
-    evolved, ``hermitian(X0)``.  RK4's stage times come from the step index,
-    (step + j/2) dt, so one step's end time is the next one's start, bit for
-    bit.  ``step`` of the result is h.  Raises PositivityError when a sampled
+    sampled step writes the trace drift before that and rho =
+    ``hermitian(X)``, Hermitian by construction, into the result, a
+    ``_Samples`` allocated once h is known; sample 0 is the state evolved,
+    ``hermitian(X0)``.  RK4's stage times come from the step index, (step +
+    j/2) dt, so one step's end time is the next one's start, bit for bit.
+    ``step`` of the result is h.  Raises PositivityError when a sampled
     state dips below ``POSITIVITY_FLOOR`` or is not finite.
     """
     steps = _sample_grid(_step_count(t_end, dt), sample_every)
     sampled = set(steps)
     x = _initial_form(rho0)
-    samples = _Samples(x, dt, omega)
     stride, advance = 1, _rk4(rhs, dt)
     if phases is not None:
         phases = np.asarray(phases)
@@ -254,13 +251,14 @@ def evolve(rho0: np.ndarray, rhs: Callable[[np.ndarray, float], np.ndarray],
         while gap % stride:
             stride -= 1
         advance = _lawson(rhs, dt, stride, phases)
+    samples = _Samples(x, steps, dt, omega, "rk4", stride * dt)
     for step in range(0, steps[-1], stride):
         x = advance(x, step)
         trace = x.trace()
         x /= trace
         if step + stride in sampled:
-            samples.record(step + stride, hermitian(x), abs(float(trace) - 1.0))
-    return samples.result("rk4", stride * dt)
+            samples.record(x, abs(float(trace) - 1.0))
+    return samples
 
 
 def _stage_times(step: int, dt: float, stride: int) -> tuple[float, float, float]:
@@ -436,8 +434,10 @@ def propagate_blocks(rho0: np.ndarray, model: Model, t_end: float,
     odd (``_complex_half``), and is stepped as z; the other blocks, and every
     damped one, stay real.  A block whose slice of X is all zero stays zero
     and gets no ``expm``: the vacuum and |n⟩ occupy one block of three (of
-    two with damping).  ``dt`` sets only the grid.
-    Renormalizing commutes with exp(L t), so each sample records its trace
+    two with damping).  ``dt`` sets only the grid.  The blocks fill real rows
+    of samples × dim², and the result, a ``_Samples``, is allocated only
+    after the last block is released, so a densely sampled run peaks at the
+    rows plus the states.  Renormalizing commutes with exp(L t), so each sample records its trace
     drift, divides X by its trace and reads rho = ``hermitian(X)``, and the
     division is not fed back.  Refuses a non-Hermitian rho0 and raises
     PositivityError like ``evolve``.
@@ -477,12 +477,11 @@ def propagate_blocks(rho0: np.ndarray, model: Model, t_end: float,
             if mirror is not None:
                 flat[i, mirror] = z.imag
         del lv, props, z   # before the next block is built
-    samples = _Samples(x0, dt, model.params.omega)
-    for step, vec in zip(steps[1:], flat[1:]):
-        x = vec.reshape(dim, dim)
+    samples = _Samples(x0, steps, dt, model.params.omega, "exact-blocks")
+    for x in flat[1:].reshape(-1, dim, dim):
         trace = x.trace()
-        samples.record(step, hermitian(x / trace), abs(float(trace) - 1.0))
-    return samples.result("exact-blocks")
+        samples.record(x / trace, abs(float(trace) - 1.0))
+    return samples
 
 
 def _rk4_stable(re: float, im: float) -> bool:

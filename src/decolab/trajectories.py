@@ -148,11 +148,12 @@ class EnsembleResult:
         return self.stderr[:, a, b]
 
     def to_csv(self, path, observables) -> None:
-        cols = {}
+        t = self.times_omega
+        cols = {"t_omega": t, "t_seconds": t / self.omega}
         for name in observables:
             cols[name] = integrate.observable(name)(self.mean_states)
             cols["stderr_" + name] = self.observable_stderr(name)
-        integrate._write_csv(path, self.times_omega, self.omega, cols.items())
+        integrate._write_csv(path, cols.items())
 
 
 def ensemble_average(psi0: np.ndarray, model: Model, n_traj: int,
@@ -185,10 +186,13 @@ def ensemble_average(psi0: np.ndarray, model: Model, n_traj: int,
         for s, sample in enumerate(kets):
             _fold(sample, sum_rho[s], sum_sq[s])
 
-    mean = sum_rho / n_traj
-    var = sum_sq / n_traj - (sum_rho.real / n_traj) ** 2 - (sum_rho.imag / n_traj) ** 2
-    stderr = np.sqrt(np.maximum(var, 0.0) / n_traj)
-    return EnsembleResult(times_omega=np.array(steps) * dt, mean_states=mean,
+    # in the sums' arrays: sum_sq/n - (Re sum/n)² - (Im sum/n)², then the mean
+    var = np.divide(sum_sq, n_traj, out=sum_sq)
+    var -= np.square(sum_rho.real / n_traj)
+    var -= np.square(sum_rho.imag / n_traj)
+    stderr = np.sqrt(np.divide(np.maximum(var, 0.0, out=var), n_traj, out=var), out=var)
+    return EnsembleResult(times_omega=np.array(steps) * dt,
+                          mean_states=np.divide(sum_rho, n_traj, out=sum_rho),
                           stderr=stderr, n_traj=n_traj, omega=model.params.omega)
 
 

@@ -265,7 +265,7 @@ class TestMemoryKernel:
             omega_tau_g=1e3, beta_bar=0.9, ap_hw=0.05,
             kernel=KernelSpec(kind="exponential", tau=0.7))
         desc = generators.model("gup-nonmarkov", p, 12)
-        z, s = 1.0 - desc.tau * desc.rates, min(t, 8 * desc.tau)
+        z, s = 1.0 - desc.tau * (-1j * desc.delta), min(t, 8 * desc.tau)
         want = desc.op * (-np.expm1(-z * (s / desc.tau)) / (2.0 * z))
         assert generators.memory_operator(t, desc).tobytes() == want.tobytes()
 

@@ -105,7 +105,7 @@ class TestEvolve:
 def dense_liouvillian(form, gamma, dim):
     """The whole Liouvillian on row-major vec(rho), from the dense terms:
     X rho Y is X ⊗ Yᵀ."""
-    rates, op, c = form.rates, form.op, form.c
+    rates, op, c = -1j * form.delta, form.op, form.c
     eye, a = np.eye(dim), fock.ladder(dim)
     n = np.diag(np.arange(dim, dtype=float))
     op2 = op @ op
@@ -260,6 +260,39 @@ class TestPropagateBlocks:
         assert peak - outputs <= (3 + intervals) * block
 
 
+class TestSampleStore:
+    """A densely sampled run holds each sampled state once: gup-markov at dim
+    16 to omega t 10 at dt 0.05, sampled every step, is 201 states of 4 KB."""
+
+    form = generators.model("gup-markov", ModelParams.from_dimensionless(
+        omega_tau_g=500.0, beta_bar=1.0), 16)
+    rho0 = fock.density(fock.superposition01(16))
+
+    def traced(self, run):
+        """(the states' bytes, the traced peak above the result) of a run."""
+        tracemalloc.start()
+        try:
+            res = run()
+            outputs, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert res.states.shape == (201, 16, 16)
+        return res.states.nbytes, peak - outputs
+
+    def test_evolve_writes_each_sample_into_its_result(self):
+        form = self.form
+        states, above = self.traced(lambda: integrate.evolve(
+            self.rho0, lambda x, t: generators.gup_markov_rhs(x, form, phases=False),
+            10.0, 0.05, sample_every=1, phases=form.delta))
+        assert above <= 0.1 * states
+
+    def test_blocks_hold_their_real_rows_and_the_states(self):
+        # the real rows of the samples' X are half the bytes of the states
+        states, above = self.traced(lambda: integrate.propagate_blocks(
+            self.rho0, self.form, 10.0, 0.05, sample_every=1))
+        assert above <= 0.6 * states
+
+
 def every_block_propagate(rho0, form, t_end, dt, sample_every):
     """``propagate_blocks`` on the real form X without its skip of empty
     blocks: every block of the generator on vec(X), built column by column
@@ -292,12 +325,12 @@ def every_block_propagate(rho0, form, t_end, dt, sample_every):
             flat[i, cols] = z.real
             if mixed:
                 flat[i, mirror] = z.imag
-    samples = integrate._Samples(x0, dt, form.params.omega)
-    for step, vec in zip(steps[1:], flat[1:]):
+    samples = integrate._Samples(x0, steps, dt, form.params.omega, "exact-blocks")
+    for vec in flat[1:]:
         x = vec.reshape(dim, dim)
         trace = np.trace(x)
-        samples.record(step, integrate.hermitian(x / trace), abs(float(trace) - 1.0))
-    return samples.result("exact-blocks")
+        samples.record(x / trace, abs(float(trace) - 1.0))
+    return samples
 
 
 def benchmark_blocks(t=200.0):
@@ -405,9 +438,9 @@ def reference_rk4(rho0, rhs, n_steps, dt, sample_every):
 
 
 def complex_rhs(form, p):
-    """R * rho - c [A, [A, rho]] plus damping, with A complex: two complex
+    """-i Δ * rho - c [A, [A, rho]] plus damping, with A complex: two complex
     products, X = A rho and Y = A (X - X†), give Y + Y†."""
-    rates, op, c = form.rates, form.op, form.c
+    rates, op, c = -1j * form.delta, form.op, form.c
     a = np.asarray(op, dtype=complex)
 
     def rhs(rho, t):
@@ -425,7 +458,7 @@ def complex_nonmarkov_rhs(p, dim):
     afresh at every call, in the two complex products of ``complex_rhs``:
     X = M rho and Y = K² (X - X†) give [K², [M, rho]] = Y + Y†."""
     desc = generators.model("gup-nonmarkov", p, dim)
-    rates, k2 = desc.rates, generators._k2_op(dim)
+    rates, k2 = -1j * desc.delta, generators._k2_op(dim)
 
     def rhs(rho, t):
         out = rates * rho
@@ -441,7 +474,7 @@ def four_product_nonmarkov_rhs(p, dim):
     """The memory-kernel right-hand side as the four products of the dense
     commutators, K² (M rho - rho M) - (M rho - rho M) K²."""
     desc = generators.model("gup-nonmarkov", p, dim)
-    rates, k2 = desc.rates, generators._k2_op(dim)
+    rates, k2 = -1j * desc.delta, generators._k2_op(dim)
     comm = lambda a, b: a @ b - b @ a
 
     def rhs(rho, t):
