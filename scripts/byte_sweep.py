@@ -8,9 +8,10 @@ c = 1e150): undamped, whose matrix exponential overflows (exit 3), and at
 gamma = 1e300, which settles within its first sample; two `gup-markov`
 runs on the exact blocks at dim 24, damped and not, whose last sample
 interval is half the others, so each block takes two matrix exponentials;
-three short `simulate` runs sampled at every step, one on each propagator:
-`gup-markov` at dim 24 (the exact blocks), `breuer` at dim 34 (Lawson's
-step, above the block limit) and `gup-nonmarkov` at dim 12 (plain RK4);
+four short `simulate` runs sampled at every step, one on each propagator:
+`gup-markov` at dim 24 (the exact blocks), `breuer` at dim 34 above the
+block limit, undamped (the split step) and at gamma = 0.03 (Lawson's step),
+and `gup-nonmarkov` at dim 12 (plain RK4);
 one `gup-nonmarkov` run at dim 40 and dt 0.1, past plain RK4's stability
 region with the phases (exit 2);
 `decolab analytic` over the four models and both gammas; the
@@ -72,8 +73,10 @@ PHASES = {"model": "gup-nonmarkov", "dim": 40, "ap_hw": 1.5e-33, "beta_bar": 0.0
 # scaled in a copy, for the whole stride, and one scaled in place, for the half
 TWO_INTERVALS = {"model": "gup-markov", "dim": 24, "initial_state": "superposition01",
                  "t_end": 21.0}
-# 51 samples, one per step: the sample store written at every step
-EVERY_STEP = {"gup-markov": 24, "breuer": 34, "gup-nonmarkov": 12}
+# 51 samples, one per step: the sample store written at every step, on
+# each propagator: (model, dim, gamma)
+EVERY_STEP = (("gup-markov", 24, 0.0), ("breuer", 34, 0.0), ("breuer", 34, 0.03),
+              ("gup-nonmarkov", 12, 0.0))
 DENSE = {"initial_state": "superposition01", "t_end": 1.0, "sample_every": 1}
 #: the runs that the sweep expects to fail, with their exit codes
 REFUSED = {"simulate-gup-markov-stiff": 3, "simulate-gup-nonmarkov-phases-d40": 2}
@@ -135,11 +138,13 @@ def runs(out: pathlib.Path, dims):
     for gamma in (0.0, 0.03):
         yield configured(f"simulate-gup-markov-g{gamma:g}-sup01-d24-two-intervals",
                          "simulate", {**COMMON, **TWO_INTERVALS, "gamma_dimless": gamma})
-    for model, dim in EVERY_STEP.items():
-        cfg = {**COMMON, **DENSE, "model": model, "dim": dim}
+    for model, dim, gamma in EVERY_STEP:
+        cfg = {**COMMON, **DENSE, "model": model, "dim": dim, "gamma_dimless": gamma}
         if model == "gup-nonmarkov":
             cfg.update(MEMORY)
-        yield configured(f"simulate-{model}-sup01-d{dim}-every-step", "simulate", cfg)
+        damped = "-damped" if gamma else ""
+        yield configured(f"simulate-{model}-sup01-d{dim}-every-step{damped}",
+                         "simulate", cfg)
     yield configured("simulate-gup-nonmarkov-phases-d40", "simulate", {**COMMON, **PHASES})
     for name, extra in ENSEMBLES.items():
         yield configured(name, "ensemble", {**COMMON, **ENSEMBLE, **extra})

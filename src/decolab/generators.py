@@ -231,6 +231,19 @@ class Model:
         return z, 2.0 * z
 
     @cached_property
+    def eigenbasis(self) -> tuple[np.ndarray, np.ndarray]:
+        """(a, V) with A = V diag(a) Vᵀ, from one ``eigh`` per parity block of
+        A (even n, odd n), which A never couples: V's entries between the two
+        are exact zeros, so no product with V mixes the parities.  Eigenvalue
+        and eigenvector k have the parity of k.  Built on first use."""
+        dim = self.op.shape[0]
+        a, v = np.empty(dim), np.zeros((dim, dim))
+        for parity in (0, 1):
+            idx = np.arange(parity, dim, 2)
+            a[idx], v[np.ix_(idx, idx)] = np.linalg.eigh(self.op[np.ix_(idx, idx)])
+        return _real(a), _real(v)
+
+    @cached_property
     def phase_spread(self) -> float:
         """The largest |Δ_ab - Δ_a'b'| over the elements that the double
         commutator and damping couple, bounded by 2 max |E_i - E_j| over

@@ -7,12 +7,16 @@ as (X + Xᵀ)/2 + i (X - Xᵀ)/2, Hermitian by construction; the trace drift
 removed by the renormalization is recorded, so that long runs stay valid
 while the error remains observable.  Fixed steps keep runs bit-reproducible.
 Given the phases -Δ∘Xᵀ of a constant generator, ``evolve`` takes Lawson's
-integrating-factor RK4, which rotates them exactly and steps only the rest.
-``propagate_blocks`` samples the exact exp(L t) of the same generator on the
-same grid, one parity block of L on vec(X) at a time; without damping, the
-mixed block is stepped as its complex half z = X_mn + i X_nm (m even, n odd).
-Its matrix exponential, ``expm``, takes matrix products only.  ``solve``
-picks one of the three for a model description and checks RK4's step.
+integrating-factor RK4, which rotates them exactly and steps only the rest;
+given also the eigenbasis of A in an undamped one's double commutator
+-c [A, [A, X]], it takes a fourth-order split step that composes the exact
+flows of the two parts, the rotation and the dephasing in A's eigenbasis.
+``propagate_blocks`` samples the exact exp(L t) of a constant generator on
+the same grid, one parity block of L on vec(X) at a time; without damping,
+the mixed block is stepped as its complex half z = X_mn + i X_nm (m even, n
+odd).  Its matrix exponential, ``expm``, takes matrix products only.
+``solve`` picks one of the four paths (exact blocks, split step, Lawson's
+step, plain RK4) for a model description and checks the step.
 """
 
 from __future__ import annotations
@@ -40,6 +44,46 @@ default_dt = 2.0 * np.pi / 200.0
 #: constant models (tests/test_cli.py::TestLawsonSweep): at 0.435, breuer at
 #: dim 12, omega tau_D 100 takes h = 2 dt and is 1.6e-9 off at omega t 200
 LAWSON_STEP_LIMIT = 0.42
+
+#: Blanes & Moan's fourth-order S6 (J. Comput. Appl. Math. 142, 313, 2002),
+#: the split step of ``evolve``: the fractions of h of its seven
+#: rotations, a₁ a₂ a₃ a₄ a₃ a₂ a₁, and of its six dephasings, b₁ b₂ b₃ b₃ b₂
+#: b₁, composed as a₁b₁a₂b₂a₃b₃a₄b₃a₃b₂a₂b₁a₁.  b₂ < 0 runs the dephasing
+#: backward, which order four needs (Blanes & Casas, Appl. Numer. Math. 54,
+#: 23, 2005)
+_A = (0.0792036964311957, 0.353172906049774, -0.0420650803577195)
+_B = (0.209515106613362, -0.143851773179818)
+SPLIT_ROTATIONS = (*_A, 1.0 - 2.0 * sum(_A))
+SPLIT_DEPHASINGS = (*_B, 0.5 - sum(_B))
+
+#: the split step's rule (``evolve``): h at most SPLIT_STEP_LIMIT, and
+#: |b₂| h s at most SPLIT_GROWTH_LIMIT, with s = c (a_max - a_min)² the
+#: dephasing's largest rate, so that |b₂| h s is the log growth per step of
+#: the one backward flow.  A cap on h itself, not on h reach.  Set by a sweep
+#: against the exact blocks, to omega t 40 from superposition01 and |1>, at
+#: dt 0.05 or the largest dt by halving that ``_check_step`` admits, under
+#: the rule of tests/test_cli.py::TestLawsonSweep: populations within
+#: max(1e-10, plain RK4's error at dt) and |rho_01| no further off than RK4's.
+#: - h: at 0.2 every undamped config of that test (gup-markov and breuer,
+#:   weak and strong, dims 12, 24 and 40) and breuer at dim 12, omega tau_D
+#:   200 to 1000, meet it, and so does gup-markov omega tau_G 5e4 at dim 40
+#:   (h reach 6.8) without the growth cap; at 0.4 strong breuer (omega tau_D
+#:   100, h reach 1.7 to 3.9) from |1> ends 1.8e-10 off, RK4 1.2-1.3e-10, at
+#:   every dim.
+#: - growth: gup-markov omega tau_G 5e4 to 2e3 and breuer omega tau_D 100 to
+#:   3, dims 24 and 40.  At 0.4 each meets it in populations but breuer
+#:   omega tau_D 20 at dim 24, whose h = 0.2 ends 5.7e-10 off, RK4 3.3e-10
+#:   (above the block limit the cap takes h = 0.1 there: 3.7e-11 at dim 33).
+#:   At 0.5 breuer omega tau_D 10 at dim 40 (|b₂| h s = 0.41) ends 1.6e-10
+#:   off, RK4 1.9e-11.  No cap helps where h = dt: gup-markov omega tau_G
+#:   500 ends 1.0e-9 (dim 24) and 3.9e-10 (dim 40) off, RK4 6e-13.
+#:   |b₂| RK4_REAL_LIMIT = 0.39991 < 0.4, so a dt that ``_check_step``
+#:   admits passes the growth check.
+#: At a fixed h the error grows with c, as about c³ for breuer, and not with
+#: s: the sweep's samples at omega t 40 alone miss a peak of 4.1e-10 from |1>
+#: at breuer omega tau_D 50, dim 34, h = 0.2, sampled every omega t 2.
+SPLIT_STEP_LIMIT = 0.2
+SPLIT_GROWTH_LIMIT = 0.4
 
 #: a sampled state whose smallest eigenvalue falls below this has lost positivity
 POSITIVITY_FLOOR = -1e-6
@@ -79,8 +123,8 @@ class EvolutionResult:
     omega: float = 1.0               # rad/s, for the seconds axis
     trace_drift: np.ndarray = field(default=None)   # |tr-1| before renorm, per sample
     min_eigenvalue: np.ndarray = field(default=None)
-    propagator: str = "rk4"          # rk4 | exact-blocks
-    step: float | None = None        # the step RK4 took; None on the exact blocks
+    propagator: str = "rk4"          # exact-blocks | split4 | lawson | rk4
+    step: float | None = None        # the step h taken; None on the exact blocks
 
     def expect(self, name: str) -> np.ndarray:
         return observable(name)(self.states)
@@ -206,10 +250,10 @@ class _Samples(EvolutionResult):
                 f"state lost positivity at omega*t={t:.6g} (min eig {lo:.3e})")
 
 
-def evolve(rho0: np.ndarray, rhs: Callable[[np.ndarray, float], np.ndarray],
+def evolve(rho0: np.ndarray, rhs: Callable[[np.ndarray, float], np.ndarray] | None,
            t_end: float, dt: float = default_dt, *, sample_every: int = 100,
            omega: float = 1.0, phases: np.ndarray | None = None,
-           reach: float = math.inf) -> EvolutionResult:
+           reach: float = math.inf, dephasing: tuple | None = None) -> EvolutionResult:
     """Integrate d rho/d(omega t) = rhs(rho, t) with classical RK4 on the real
     form X = ``real_form(rho)`` of the Hermitian rho0.
 
@@ -224,7 +268,12 @@ def evolve(rho0: np.ndarray, rhs: Callable[[np.ndarray, float], np.ndarray],
     steps of dt) with h ``reach`` <= ``LAWSON_STEP_LIMIT``, and m >= 1:
     ``reach`` is rhs's largest rate plus the largest difference of Δ between
     elements that rhs couples (the default, inf, keeps h = dt).  dt then sets
-    only the grid and the least h.
+    only the grid and the least h.  With ``dephasing`` = (a, V, c) as well,
+    rhs is -c [A, [A, X]] for A = V diag(a) Vᵀ and is not called (it may be
+    None): ``_split`` steps -Δ∘Xᵀ + rhs by exact flows, at the largest such
+    h with h <= ``SPLIT_STEP_LIMIT`` and |b₂| h s <= ``SPLIT_GROWTH_LIMIT``,
+    s = c (a_max - a_min)²; a dt past the second is a ConfigError that names
+    one within it.
 
     After every step X is renormalized to unit trace (tr rho = tr X); a
     sampled step writes the trace drift before that and rho =
@@ -238,7 +287,7 @@ def evolve(rho0: np.ndarray, rhs: Callable[[np.ndarray, float], np.ndarray],
     steps = _sample_grid(_step_count(t_end, dt), sample_every)
     sampled = set(steps)
     x = _initial_form(rho0)
-    stride, advance = 1, _rk4(rhs, dt)
+    stride, advance, name = 1, _rk4(rhs, dt), "rk4"
     if phases is not None:
         phases = np.asarray(phases)
         if phases.dtype.kind not in "iuf":
@@ -246,12 +295,26 @@ def evolve(rho0: np.ndarray, rhs: Callable[[np.ndarray, float], np.ndarray],
         if phases.shape != x.shape:
             raise ValueError(f"phases must have the state's shape {x.shape}, "
                              f"got {phases.shape}")
-        gap = math.gcd(*np.diff(steps).tolist())
-        stride = int(min(gap, max(1, LAWSON_STEP_LIMIT / (dt * reach)))) if reach else gap
-        while gap % stride:
-            stride -= 1
+    if dephasing is not None:
+        if phases is None:
+            raise ValueError("the split step needs the phases")
+        a, v, c = dephasing
+        stiffness = c * float(a.max() - a.min()) ** 2
+        growth = -SPLIT_DEPHASINGS[1] * stiffness   # |b₂| s
+        if dt * growth > SPLIT_GROWTH_LIMIT:
+            raise ConfigError(
+                f"dt={dt:.6g} is past the split step's limit: its backward dephasing "
+                f"grows coherences by exp(|b₂| dt s) = exp({dt * growth:.3g}) per step, "
+                f"past exp({SPLIT_GROWTH_LIMIT}), with s = c (a_max - a_min)² = "
+                f"{stiffness:.3g}; take dt <= {0.995 * SPLIT_GROWTH_LIMIT / growth:.3g}")
+        h = min(SPLIT_STEP_LIMIT, SPLIT_GROWTH_LIMIT / growth if growth else math.inf)
+        stride, name = _stride(steps, h / dt), "split4"
+        advance = _split(dt, stride, phases, a, v, c)
+    elif phases is not None:
+        stride, name = _stride(steps, LAWSON_STEP_LIMIT / (dt * reach) if reach
+                               else math.inf), "lawson"
         advance = _lawson(rhs, dt, stride, phases)
-    samples = _Samples(x, steps, dt, omega, "rk4", stride * dt)
+    samples = _Samples(x, steps, dt, omega, name, stride * dt)
     for step in range(0, steps[-1], stride):
         x = advance(x, step)
         trace = x.trace()
@@ -259,6 +322,16 @@ def evolve(rho0: np.ndarray, rhs: Callable[[np.ndarray, float], np.ndarray],
         if step + stride in sampled:
             samples.record(x, abs(float(trace) - 1.0))
     return samples
+
+
+def _stride(steps: Sequence[int], most: float) -> int:
+    """The largest divisor of every interval of the sample grid ``steps`` that
+    is at most ``most``, and at least 1."""
+    gap = math.gcd(*np.diff(steps).tolist())
+    stride = int(min(gap, max(1, most)))
+    while gap % stride:
+        stride -= 1
+    return stride
 
 
 def _stage_times(step: int, dt: float, stride: int) -> tuple[float, float, float]:
@@ -307,6 +380,41 @@ def _lawson(rhs, dt: float, stride: int, delta: np.ndarray):
         n3 = rhs(_stage(xa, half, n2), mid)
         n4 = rhs(rotate(_stage(xa, h, n3)), end)
         return rotate(((k1 + 2.0 * n2) + 2.0 * n3) * sixth + xa) + sixth * n4
+
+    return advance
+
+
+def _split(dt: float, stride: int, delta: np.ndarray, a: np.ndarray, v: np.ndarray,
+           c: float):
+    """Blanes & Moan's S6 step of -Δ∘Xᵀ - c [A, [A, X]], A = V diag(a) Vᵀ, at
+    h = ``stride`` dt, before renormalization: the exact flows of its two
+    parts, composed as ``SPLIT_ROTATIONS`` and ``SPLIT_DEPHASINGS`` say.  Over
+    f h the phases rotate X -> cos(f h Δ)∘X - sin(f h Δ)∘Xᵀ, and the double
+    commutator, diagonal in A's eigenbasis, dephases Y = Vᵀ X V by
+    exp(-c f h (a_i - a_j)²) before X = V Y Vᵀ.  Neither moves the trace.
+    Each step works in the X it is given and two buffers, and returns a new
+    array."""
+    h = stride * dt
+    rates = c * np.subtract.outer(a, a) ** 2
+    rotations = [(np.cos(f * h * delta), np.sin(f * h * delta)) for f in SPLIT_ROTATIONS]
+    dephasings = [np.exp(-(f * h) * rates) for f in SPLIT_DEPHASINGS]
+    rotations += rotations[-2::-1]
+    dephasings += dephasings[::-1]
+    vt = v.T
+    t, y = np.empty(v.shape), np.empty(v.shape)
+
+    def advance(x, step):
+        for (cos, sin), decay in zip(rotations, dephasings):
+            np.multiply(sin, x.T, out=t)
+            x *= cos
+            x -= t
+            np.matmul(vt, x, out=t)
+            np.matmul(t, v, out=y)
+            np.multiply(y, decay, out=y)
+            np.matmul(v, y, out=t)
+            np.matmul(t, vt, out=x)
+        cos, sin = rotations[-1]
+        return cos * x - sin * x.T
 
     return advance
 
@@ -499,6 +607,8 @@ def _check_step(model: Model, dt: float) -> float:
     """ConfigError rather than a blow-up when dt is past RK4's limits for
     what ``solve`` steps with it, whatever the state; else the stiffness s
     of the double commutator and damping, whose eigenvalues lie in [-s, 0].
+    The split step takes none of it with RK4, but the real-axis limit keeps
+    its backward flow's growth |b₂| dt s within ``SPLIT_GROWTH_LIMIT``.
     Plain RK4 also steps ``gup-nonmarkov``'s phases -Δ∘Xᵀ, up to max |Δ| on
     the imaginary axis, at dt <= tau/10 for its memory kernel, if tau > 0.
     A message names 0.995 of the limit it found, at most tau/10: a dt that
@@ -531,10 +641,19 @@ def _check_step(model: Model, dt: float) -> float:
 
 def solve(rho0: np.ndarray, model: Model, t_end: float, dt: float = default_dt, *,
           sample_every: int = 100) -> EvolutionResult:
-    """Evolve rho0 to t_end under a description from ``generators.model``:
-    the exact blocks for a constant generator (all but ``gup-nonmarkov``)
-    whose blocks have real order at most ``EXACT_BLOCK_LIMIT``, else Lawson's
-    step, or plain RK4 for ``gup-nonmarkov``; RK4 after ``_check_step``."""
+    """Evolve rho0 to t_end under a description from ``generators.model``,
+    by one of four paths, which the result's ``propagator`` names:
+
+    * ``exact-blocks``: a constant generator (every model but
+      ``gup-nonmarkov``) whose parity blocks have real order at most
+      ``EXACT_BLOCK_LIMIT`` (dim <= 32), by ``propagate_blocks``;
+    * ``split4``: a larger undamped one, by the split step of ``evolve`` into
+      the exact flows of its phases and of its double commutator, in the
+      eigenbasis ``Model.eigenbasis``;
+    * ``lawson``: a larger damped one, by Lawson's step of ``evolve``;
+    * ``rk4``: ``gup-nonmarkov``, by plain RK4.
+
+    Every path but the exact blocks runs after ``_check_step``."""
     nonmarkov = model.name == "gup-nonmarkov"
     blocks = parity_blocks(rho0.shape[0], damped=bool(model.gamma))
     if not nonmarkov and max(map(len, blocks)) <= EXACT_BLOCK_LIMIT:
@@ -543,6 +662,11 @@ def solve(rho0: np.ndarray, model: Model, t_end: float, dt: float = default_dt, 
     if nonmarkov:
         return evolve(rho0, lambda x, t: generators.gup_nonmarkov_rhs(x, t, model),
                       t_end, dt, sample_every=sample_every, omega=model.params.omega)
+    if not model.gamma:
+        a, v = model.eigenbasis
+        return evolve(rho0, None, t_end, dt, sample_every=sample_every,
+                      omega=model.params.omega, phases=model.delta,
+                      dephasing=(a, v, model.c))
     rhs = generators.breuer_rhs if model.name == "breuer" else generators.gup_markov_rhs
     return evolve(rho0, lambda x, t: rhs(x, model, phases=False), t_end, dt,
                   sample_every=sample_every, omega=model.params.omega,

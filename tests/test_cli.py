@@ -175,9 +175,9 @@ class TestSimulate:
     @pytest.mark.parametrize("model,dim,gamma,propagator", [
         ("gup-markov", 8, 0.0, "exact-blocks"),    # real blocks of order 32
         ("breuer", 32, 0.03, "exact-blocks"),      # 512 <= 512
-        ("damping-only", 33, 0.03, "rk4"),         # 545 > 512
+        ("damping-only", 33, 0.03, "lawson"),      # 545 > 512
         ("breuer", 32, 0.0, "exact-blocks"),       # 512 <= 512
-        ("gup-markov", 33, 0.0, "rk4"),            # 544 > 512
+        ("gup-markov", 33, 0.0, "split4"),         # 544 > 512
     ])
     def test_each_path_reports_its_name_and_edge_population(
             self, tmp_path, model, dim, gamma, propagator):
@@ -190,8 +190,9 @@ class TestSimulate:
         assert main(["simulate", "--config", cfg]) == 0
         diag = json.loads((tmp_path / "s.json").read_text())["diagnostics"]
         assert diag["propagator"] == propagator
-        # the step taken, on RK4 only: 2 dt would pass its limit here
-        assert diag.get("step") == (0.05 if propagator == "rk4" else None)
+        # the step taken, off the exact blocks: of the sample interval's
+        # divisors, 1 and 5 steps, 5 is past either step rule here
+        assert diag.get("step") == (None if propagator == "exact-blocks" else 0.05)
         edge = np.loadtxt(tmp_path / "s.csv", delimiter=",", skiprows=1)[:, 2:]
         assert diag["edge_population"] == pytest.approx(np.max(edge.sum(axis=1)),
                                                         rel=1e-10, abs=1e-15)
@@ -211,14 +212,16 @@ class TestSimulate:
         assert diag["max_herm_drift"] == 0.0 and diag["min_eigenvalue"] > -1e-12
 
     def test_rk4_above_the_block_limit_keeps_its_bytes(self, tmp_path):
-        # dim 33 without damping has a parity block of order 544; Lawson's
-        # step on the real form X, with the exact rotation of -Δ∘Xᵀ and the
-        # four-product double commutator -c [K², [K², X]] written out here,
-        # is the reference, byte for byte
-        dim, dt, t_end, every = 33, 0.01, 0.1, 4
+        # dim 33 with damping has a parity block of order 545; Lawson's step
+        # on the real form X, with the exact rotation of -Δ∘Xᵀ, the
+        # four-product double commutator -c [K², [K², X]] and the damping
+        # gamma (a X aᵀ - ((m + n)/2)∘X) written out here, is the reference,
+        # byte for byte
+        dim, dt, t_end, every, gamma = 33, 0.01, 0.1, 4, 0.03
         cfg = write_config(
             tmp_path, model="gup-markov", dim=dim, initial_state="superposition01",
-            omega_tau_g=5e4, beta_bar=1.0, ap_hw=1e-3, t_end=t_end, dt=dt,
+            omega_tau_g=5e4, beta_bar=1.0, ap_hw=1e-3, gamma_dimless=gamma,
+            t_end=t_end, dt=dt,
             sample_every=every, observables="rho_00,abs_rho_01,re_rho_02,im_rho_13",
             csv_out=str(tmp_path / "cli.csv"), json_out=str(tmp_path / "s.json"))
         assert main(["simulate", "--config", cfg]) == 0
@@ -229,12 +232,21 @@ class TestSimulate:
         stride = max(k for k in (1, 2) if k * dt * reach <= integrate.LAWSON_STEP_LIMIT)
         assert stride == 2
         diag = json.loads((tmp_path / "s.json").read_text())["diagnostics"]
-        assert diag["propagator"] == "rk4" and diag["step"] == stride * dt
+        assert diag["propagator"] == "lawson" and diag["step"] == stride * dt
         delta, k2, c = m.levels[:, None] - m.levels[None, :], m.op, m.c
         comm = lambda a, b: a @ b - b @ a
+        n = np.arange(dim, dtype=float)
+        root, half = np.sqrt(n[1:]), 0.5 * (n[:, None] + n[None, :])
+
+        def damping(x):
+            out = np.zeros_like(x)
+            out[:-1, :-1] = (root[:, None] * x[1:, 1:]) * root
+            out -= half * x
+            return out * gamma
+
         ref = lawson_reference(fock.density(fock.superposition01(dim)),
-                               lambda x: comm(k2, comm(k2, x)) * -c, delta,
-                               10, stride, dt, every)
+                               lambda x: comm(k2, comm(k2, x)) * -c + damping(x),
+                               delta, 10, stride, dt, every)
         ref.to_csv(tmp_path / "ref.csv", ["rho_00", "abs_rho_01", "re_rho_02",
                                           "im_rho_13"])
         assert (tmp_path / "cli.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
@@ -359,10 +371,11 @@ class TestSimulate:
 
 
 class TestLawsonSweep:
-    """The constant models' RK4 path, with its exact phases and the step rule
-    of ``integrate.evolve`` at ``LAWSON_STEP_LIMIT``, against the exact
-    blocks: populations within max(1e-10, plain RK4's own error at dt) and
-    |rho_01| no further off than plain RK4's, to omega t = 40 at dt = 0.05."""
+    """The constant models' stepped paths, each at its step rule, against the
+    exact blocks: the split step without damping (``SPLIT_STEP_LIMIT`` and
+    ``SPLIT_GROWTH_LIMIT``), Lawson's step with it (``LAWSON_STEP_LIMIT``).
+    Populations within max(1e-10, plain RK4's own error at dt) and |rho_01| no
+    further off than plain RK4's, to omega t = 40 at dt = 0.05."""
 
     SCALES = {("gup-markov", "weak"): {"omega_tau_g": 1.25e5},
               ("gup-markov", "strong"): {"omega_tau_g": 5e4},
@@ -375,6 +388,16 @@ class TestLawsonSweep:
     @pytest.mark.parametrize("model,coupling", list(SCALES))
     def test_step_rule_is_no_worse_than_rk4(self, monkeypatch, model, coupling,
                                             gamma, dim):
+        self.check(monkeypatch, model, dim, gamma, self.SCALES[model, coupling])
+
+    @pytest.mark.parametrize("omega_tau_d", [200.0, 300.0, 500.0, 1000.0])
+    def test_split_step_between_the_breuer_couplings(self, monkeypatch, omega_tau_d):
+        # Lawson's step took h = 2 dt here and ended 1.4e-10 to 1.3e-9 off
+        # the exact state at omega t 200; the split step takes h = 4 dt
+        self.check(monkeypatch, "breuer", 12, 0.0, {"omega_tau_d": omega_tau_d})
+
+    @staticmethod
+    def check(monkeypatch, model, dim, gamma, scales):
         monkeypatch.setattr(integrate, "EXACT_BLOCK_LIMIT", 0)
         # the two states share the blocks of fock(1): one expm each
         cache = {}
@@ -387,8 +410,7 @@ class TestLawsonSweep:
 
         monkeypatch.setattr(integrate, "expm", cached_expm)
         cfg = RunConfig(model=model, dim=dim, gamma_dimless=gamma, beta_bar=1.0,
-                        ap_hw=1e-3, t_end=40.0, dt=0.05, sample_every=800,
-                        **self.SCALES[model, coupling])
+                        ap_hw=1e-3, t_end=40.0, dt=0.05, sample_every=800, **scales)
         cfg.validate()
         m = generators.model(model, cfg.model_params(), dim)
         rhs = generators.breuer_rhs if model == "breuer" else generators.gup_markov_rhs
@@ -400,6 +422,7 @@ class TestLawsonSweep:
                                    sample_every=800).states
             got = integrate.solve(rho0, m, cfg.t_end, cfg.dt,
                                   sample_every=cfg.sample_every)
+            assert got.propagator == ("lawson" if gamma else "split4")
             assert got.step >= 0.05
 
             def pop(states):
@@ -679,9 +702,9 @@ class TestWigner:
 
     @pytest.mark.parametrize("model,dim,gamma,step", [
         ("damping-only", 32, 0.03, None),      # exact blocks: order 512
-        ("damping-only", 33, 0.03, 0.05),      # RK4: blocks of order 545
+        ("damping-only", 33, 0.03, 0.05),      # Lawson's step: order 545
         ("breuer", 32, 0.0, None),             # exact blocks: order 512
-        ("breuer", 33, 0.0, 0.1),              # RK4 (order 544), at twice dt
+        ("breuer", 33, 0.0, 0.2),              # split step (order 544), at 4 dt
         ("gup-nonmarkov", 8, 0.0, 0.05)])      # plain RK4
     def test_evolved_grid_reports_the_step(self, tmp_path, model, dim, gamma, step):
         out = tmp_path / "w.json"

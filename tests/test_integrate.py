@@ -812,6 +812,100 @@ class TestLawson:
         assert 8.0 < coupled <= form.phase_spread <= 1.01 * coupled
 
 
+class TestSplit:
+    def test_coefficients_sum_to_one_and_a_half_per_half(self):
+        a, b = integrate.SPLIT_ROTATIONS, integrate.SPLIT_DEPHASINGS
+        assert len(a) == 4 and len(b) == 3
+        # seven rotations a₁ a₂ a₃ a₄ a₃ a₂ a₁ and six dephasings b₁ b₂ b₃ b₃ b₂ b₁
+        assert abs(2.0 * sum(a[:3]) + a[3] - 1.0) <= 1e-15
+        assert abs(sum(b) - 0.5) <= 1e-15
+        assert b[1] < 0 < min(b[0], b[2])
+
+    @pytest.mark.parametrize("model,dim", [("breuer", 12), ("gup-markov", 13)])
+    def test_eigenbasis_is_taken_per_parity(self, model, dim):
+        p, form = constant_form(model, 0.0, dim)
+        a, v = form.eigenbasis
+        assert np.allclose((v * a) @ v.T, form.op, rtol=0.0, atol=1e-12)
+        assert np.allclose(v.T @ v, np.eye(dim), rtol=0.0, atol=1e-14)
+        n = np.arange(dim)
+        assert not v[n[:, None] % 2 != n[None, :] % 2].any()
+
+    @pytest.mark.parametrize("model", ["breuer", "gup-markov"])
+    def test_matches_the_exact_blocks(self, model):
+        p, form = rk4_form(model, 0.0, 8)
+        rho0 = random_density(8, 5)
+        exact = integrate.propagate_blocks(rho0, form, 10.0, 0.05, sample_every=40)
+        got = integrate.evolve(rho0, None, 10.0, 0.05, sample_every=40,
+                               phases=form.delta, dephasing=(*form.eigenbasis, form.c))
+        assert got.propagator == "split4" and got.step == 0.2
+        assert np.array_equal(got.times_omega, exact.times_omega)
+        assert np.max(np.abs(got.states - exact.states)) < 1e-7
+
+    def test_error_falls_as_the_fourth_power_of_the_step(self, monkeypatch):
+        # weak breuer from (|0>+|1>)/sqrt(2) to omega t 200: the whole state is
+        # 9.2e-11 off the exact one at h = 0.2 and 5.6e-12 at h = 0.1
+        p = ModelParams.from_dimensionless(omega_tau_d=1e4)
+        form = generators.model("breuer", p, 12)
+        rho0 = fock.density(fock.superposition01(12))
+        exact = integrate.propagate_blocks(rho0, form, 200.0, 0.05, sample_every=1000)
+        errors = []
+        for h in (0.2, 0.1):
+            monkeypatch.setattr(integrate, "SPLIT_STEP_LIMIT", h)
+            got = integrate.evolve(rho0, None, 200.0, 0.05, sample_every=1000,
+                                   phases=form.delta,
+                                   dephasing=(*form.eigenbasis, form.c))
+            assert got.step == h
+            errors.append(np.max(np.abs(got.states - exact.states)))
+        assert errors[0] >= 11.0 * errors[1] > 1e-12
+
+    @pytest.mark.parametrize("model", ["breuer", "gup-markov"])
+    def test_fock1_keeps_its_parity_blocks_exactly_empty(self, monkeypatch, model):
+        # A never couples even n to odd n, and neither does V: rho_01 of |1>
+        # stays exactly 0, as on plain RK4
+        monkeypatch.setattr(integrate, "EXACT_BLOCK_LIMIT", 0)
+        p, form = rk4_form(model, 0.0, 12)
+        got = integrate.solve(fock.density(fock.fock_state(1, 12)), form, 20.0, 0.05,
+                              sample_every=100)
+        assert got.propagator == "split4"
+        n = np.arange(12)
+        assert not got.states[:, n[:, None] % 2 != n[None, :] % 2].any()
+
+    @pytest.mark.parametrize("c,dt,every,stride", [
+        (0.0, 0.05, 4000, 4),           # h <= SPLIT_STEP_LIMIT
+        (0.0, 0.05, 10, 2),             # 4 does not divide 10
+        (0.0, 0.3, 100, 1),             # dt past SPLIT_STEP_LIMIT: h = dt
+        (20.0, 0.05, 4000, 2),          # |b₂| 3 dt s = 0.43 > 0.4
+        (40.0, 0.05, 4000, 1)])
+    def test_step_is_the_largest_divisor_within_both_limits(self, c, dt, every, stride):
+        assert integrate.SPLIT_STEP_LIMIT == 0.2
+        assert integrate.SPLIT_GROWTH_LIMIT == 0.4
+        # s = c (a_max - a_min)² = c
+        a, v = np.array([0.0, 1.0, 0.5]), np.eye(3)
+        rho0 = fock.density(fock.superposition01(3))
+        res = integrate.evolve(rho0, None, 200.0, dt, sample_every=every,
+                               phases=np.zeros((3, 3)), dephasing=(a, v, c))
+        assert res.step == stride * dt
+
+    def test_dt_past_the_backward_flows_limit_is_refused_naming_one_within(self):
+        a, v = np.array([0.0, 1.0, 0.5]), np.eye(3)
+        rho0 = fock.density(fock.superposition01(3))
+        kwargs = {"phases": np.zeros((3, 3)), "dephasing": (a, v, 100.0)}
+        with pytest.raises(ConfigError, match=r"dt=0\.05 is past the split step") as err:
+            integrate.evolve(rho0, None, 1.0, 0.05, **kwargs)
+        dt = float(str(err.value).rsplit("take dt <= ", 1)[1])
+        assert 0.02 < dt < 0.4 / (100.0 * -integrate.SPLIT_DEPHASINGS[1])
+        assert integrate.evolve(rho0, None, 1.0, dt, **kwargs).step == dt
+        # so ``solve`` never gets here: RK4's real-axis check refuses first
+        b2 = -integrate.SPLIT_DEPHASINGS[1]
+        assert b2 * integrate.RK4_REAL_LIMIT <= integrate.SPLIT_GROWTH_LIMIT
+
+    def test_needs_the_phases(self):
+        rho0 = fock.density(fock.superposition01(3))
+        with pytest.raises(ValueError, match="phases"):
+            integrate.evolve(rho0, None, 1.0, 0.05,
+                             dephasing=(np.zeros(3), np.eye(3), 1.0))
+
+
 class TestNonMarkov:
     def test_requires_exponential_kernel(self):
         p = ModelParams.from_dimensionless(omega_tau_g=100.0)
