@@ -13,7 +13,9 @@ four short `simulate` runs sampled at every step, one on each propagator:
 block limit, undamped (the split step) and at gamma = 0.03 (Lawson's step),
 and `gup-nonmarkov` at dim 12 (plain RK4);
 one `gup-nonmarkov` run at dim 40 and dt 0.1, past plain RK4's stability
-region with the phases (exit 2);
+region with the phases (exit 2); one weakly coupled undamped `breuer` run
+at dim 34 (omega tau_D 1e4), whose split step is longer than the
+`breuer` runs' at omega tau_D 50;
 `decolab analytic` over the four models and both gammas; the
 white `gup-markov` (sampled every 20 steps and every step), OU `gup-nonmarkov`
 and white `breuer` ensembles at dim 16,
@@ -69,6 +71,9 @@ STIFF = {"model": "gup-markov", "dim": 4, "ap_hw": 1e100, "omega_tau_g": 1e-150,
 PHASES = {"model": "gup-nonmarkov", "dim": 40, "ap_hw": 1.5e-33, "beta_bar": 0.0,
           "omega_tau_g": 1e6, "initial_state": "superposition01", "dt": 0.1,
           **MEMORY}
+# c = 5e-5: the split step's rule h⁴ c ν⁴ <= κ takes h = 0.4 (0.1 at c = 0.01)
+WEAK = {"model": "breuer", "dim": 34, "omega_tau_d": 1e4,
+        "initial_state": "superposition01"}
 # t_end is 10.5 sample strides: every block takes one expm of the generator
 # scaled in a copy, for the whole stride, and one scaled in place, for the half
 TWO_INTERVALS = {"model": "gup-markov", "dim": 24, "initial_state": "superposition01",
@@ -146,6 +151,7 @@ def runs(out: pathlib.Path, dims):
         yield configured(f"simulate-{model}-sup01-d{dim}-every-step{damped}",
                          "simulate", cfg)
     yield configured("simulate-gup-nonmarkov-phases-d40", "simulate", {**COMMON, **PHASES})
+    yield configured("simulate-breuer-weak-sup01-d34", "simulate", {**COMMON, **WEAK})
     for name, extra in ENSEMBLES.items():
         yield configured(name, "ensemble", {**COMMON, **ENSEMBLE, **extra})
     for model, (truth, t_max) in FITS.items():

@@ -56,33 +56,33 @@ _B = (0.209515106613362, -0.143851773179818)
 SPLIT_ROTATIONS = (*_A, 1.0 - 2.0 * sum(_A))
 SPLIT_DEPHASINGS = (*_B, 0.5 - sum(_B))
 
-#: the split step's rule (``evolve``): h at most SPLIT_STEP_LIMIT, and
-#: |b₂| h s at most SPLIT_GROWTH_LIMIT, with s = c (a_max - a_min)² the
-#: dephasing's largest rate, so that |b₂| h s is the log growth per step of
-#: the one backward flow.  A cap on h itself, not on h reach.  Set by a sweep
-#: against the exact blocks, to omega t 40 from superposition01 and |1>, at
-#: dt 0.05 or the largest dt by halving that ``_check_step`` admits, under
-#: the rule of tests/test_cli.py::TestLawsonSweep: populations within
-#: max(1e-10, plain RK4's error at dt) and |rho_01| no further off than RK4's.
-#: - h: at 0.2 every undamped config of that test (gup-markov and breuer,
-#:   weak and strong, dims 12, 24 and 40) and breuer at dim 12, omega tau_D
-#:   200 to 1000, meet it, and so does gup-markov omega tau_G 5e4 at dim 40
-#:   (h reach 6.8) without the growth cap; at 0.4 strong breuer (omega tau_D
-#:   100, h reach 1.7 to 3.9) from |1> ends 1.8e-10 off, RK4 1.2-1.3e-10, at
-#:   every dim.
-#: - growth: gup-markov omega tau_G 5e4 to 2e3 and breuer omega tau_D 100 to
-#:   3, dims 24 and 40.  At 0.4 each meets it in populations but breuer
-#:   omega tau_D 20 at dim 24, whose h = 0.2 ends 5.7e-10 off, RK4 3.3e-10
-#:   (above the block limit the cap takes h = 0.1 there: 3.7e-11 at dim 33).
-#:   At 0.5 breuer omega tau_D 10 at dim 40 (|b₂| h s = 0.41) ends 1.6e-10
-#:   off, RK4 1.9e-11.  No cap helps where h = dt: gup-markov omega tau_G
-#:   500 ends 1.0e-9 (dim 24) and 3.9e-10 (dim 40) off, RK4 6e-13.
-#:   |b₂| RK4_REAL_LIMIT = 0.39991 < 0.4, so a dt that ``_check_step``
-#:   admits passes the growth check.
-#: At a fixed h the error grows with c, as about c³ for breuer, and not with
-#: s: the sweep's samples at omega t 40 alone miss a peak of 4.1e-10 from |1>
-#: at breuer omega tau_D 50, dim 34, h = 0.2, sampled every omega t 2.
-SPLIT_STEP_LIMIT = 0.2
+#: the split step's rule (``evolve``): h ν at most min((SPLIT_ERROR_LIMIT /
+#: c)^(1/4), SPLIT_PHASE_LIMIT), that is h⁴ c ν⁴ <= κ, with ν the phase spread
+#: of the elements that the dephasing couples (``Model.phase_spread``: 4 for
+#: breuer, 8 for gup-markov); and |b₂| h s at most SPLIT_GROWTH_LIMIT, with
+#: s = c (a_max - a_min)² the dephasing's largest rate, so that |b₂| h s is
+#: the log growth per step of the one backward flow.  With c = 0 the step is
+#: exact, over the whole sample interval.  Set by sweeps against the exact
+#: blocks from superposition01 and |1>, sampled every omega t 2 to omega t 40
+#: at dt 0.05 or the largest dt by halving that ``_check_step`` admits:
+#: - κ: at h ν <= 3 the whole state's error is 3e-6 to 4e-5 times c (h ν)⁴,
+#:   for breuer (omega tau_D 1e5 to 20) and gup-markov (omega tau_G 1e6 to
+#:   2e3) alike, the same at dims 12 and 24.  κ = 5e-4 gives the benchmark's
+#:   breuer (omega tau_D 7071 to 14142, dim 40, one sample per omega t 200)
+#:   h = 0.4, 3.5e-13 off in populations, and breuer omega tau_D 50 at dim
+#:   34, dt 0.02, sampled every omega t 2, h = 0.1: 2.5e-11 off, RK4 5.1e-11,
+#:   and 4.1e-10 at h = 0.2.  Breuer omega tau_D 1e6 to 3 and gup-markov
+#:   omega tau_G 1e6 to 500, dims 12, 24 and 40, then meet the rule of
+#:   tests/test_cli.py::TestLawsonSweep (populations within max(1e-10, RK4's
+#:   error at dt), |rho_01| no further off than RK4's) wherever h > dt.
+#: - h ν: that factor grows 1.2-1.4× by h ν = 3, 1.4-2× by 4 and 9-18× by 6.
+#: - growth: at 0.5 breuer omega tau_D 10 at dim 40 (|b₂| h s = 0.41) ends
+#:   1.6e-10 off, RK4 1.9e-11.  |b₂| RK4_REAL_LIMIT = 0.39991 < 0.4, so a dt
+#:   that ``_check_step`` admits passes the growth check.  No rule helps where
+#:   h = dt: gup-markov omega tau_G 500 ends 1.0e-9 (dim 24) and 3.9e-10 (dim
+#:   40) off, RK4 1.5e-12 and 1.2e-12.
+SPLIT_ERROR_LIMIT = 5e-4
+SPLIT_PHASE_LIMIT = 3.0
 SPLIT_GROWTH_LIMIT = 0.4
 
 #: a sampled state whose smallest eigenvalue falls below this has lost positivity
@@ -271,9 +271,11 @@ def evolve(rho0: np.ndarray, rhs: Callable[[np.ndarray, float], np.ndarray] | No
     only the grid and the least h.  With ``dephasing`` = (a, V, c) as well,
     rhs is -c [A, [A, X]] for A = V diag(a) Vᵀ and is not called (it may be
     None): ``_split`` steps -Δ∘Xᵀ + rhs by exact flows, at the largest such
-    h with h <= ``SPLIT_STEP_LIMIT`` and |b₂| h s <= ``SPLIT_GROWTH_LIMIT``,
-    s = c (a_max - a_min)²; a dt past the second is a ConfigError that names
-    one within it.
+    h with h⁴ c ν⁴ <= ``SPLIT_ERROR_LIMIT``, h ν <= ``SPLIT_PHASE_LIMIT`` and
+    |b₂| h s <= ``SPLIT_GROWTH_LIMIT``: here ``reach`` is ν, the largest
+    difference of Δ between elements that the dephasing couples, and s = c
+    (a_max - a_min)²; with c = 0, h is the sample interval.  A dt past the
+    growth limit is a ConfigError that names one within it.
 
     After every step X is renormalized to unit trace (tr rho = tr X); a
     sampled step writes the trace drift before that and rho =
@@ -307,7 +309,9 @@ def evolve(rho0: np.ndarray, rhs: Callable[[np.ndarray, float], np.ndarray] | No
                 f"grows coherences by exp(|b₂| dt s) = exp({dt * growth:.3g}) per step, "
                 f"past exp({SPLIT_GROWTH_LIMIT}), with s = c (a_max - a_min)² = "
                 f"{stiffness:.3g}; take dt <= {0.995 * SPLIT_GROWTH_LIMIT / growth:.3g}")
-        h = min(SPLIT_STEP_LIMIT, SPLIT_GROWTH_LIMIT / growth if growth else math.inf)
+        most = (min((SPLIT_ERROR_LIMIT / c) ** 0.25, SPLIT_PHASE_LIMIT) / reach
+                if c and reach else math.inf)
+        h = min(most, SPLIT_GROWTH_LIMIT / growth if growth else math.inf)
         stride, name = _stride(steps, h / dt), "split4"
         advance = _split(dt, stride, phases, a, v, c)
     elif phases is not None:
@@ -392,12 +396,16 @@ def _split(dt: float, stride: int, delta: np.ndarray, a: np.ndarray, v: np.ndarr
     f h the phases rotate X -> cos(f h Δ)∘X - sin(f h Δ)∘Xᵀ, and the double
     commutator, diagonal in A's eigenbasis, dephases Y = Vᵀ X V by
     exp(-c f h (a_i - a_j)²) before X = V Y Vᵀ.  Neither moves the trace.
-    Each step works in the X it is given and two buffers, and returns a new
+    Its error is O(c h⁴ ν⁴), for ν the phase spread that ``evolve`` reads;
+    with c = 0 it is one exact rotation over h, with no dephasing.  Each
+    step works in the X it is given and two buffers, and returns a new
     array."""
     h = stride * dt
     rates = c * np.subtract.outer(a, a) ** 2
-    rotations = [(np.cos(f * h * delta), np.sin(f * h * delta)) for f in SPLIT_ROTATIONS]
-    dephasings = [np.exp(-(f * h) * rates) for f in SPLIT_DEPHASINGS]
+    # without dephasing the seven rotations compose to one, over h
+    fa, fb = (SPLIT_ROTATIONS, SPLIT_DEPHASINGS) if c else ((1.0,), ())
+    rotations = [(np.cos(f * h * delta), np.sin(f * h * delta)) for f in fa]
+    dephasings = [np.exp(-(f * h) * rates) for f in fb]
     rotations += rotations[-2::-1]
     dephasings += dephasings[::-1]
     vt = v.T
@@ -649,7 +657,8 @@ def solve(rho0: np.ndarray, model: Model, t_end: float, dt: float = default_dt, 
       ``EXACT_BLOCK_LIMIT`` (dim <= 32), by ``propagate_blocks``;
     * ``split4``: a larger undamped one, by the split step of ``evolve`` into
       the exact flows of its phases and of its double commutator, in the
-      eigenbasis ``Model.eigenbasis``;
+      eigenbasis ``Model.eigenbasis``, at a step that c and ``reach`` =
+      ``Model.phase_spread`` set;
     * ``lawson``: a larger damped one, by Lawson's step of ``evolve``;
     * ``rk4``: ``gup-nonmarkov``, by plain RK4.
 
@@ -666,7 +675,7 @@ def solve(rho0: np.ndarray, model: Model, t_end: float, dt: float = default_dt, 
         a, v = model.eigenbasis
         return evolve(rho0, None, t_end, dt, sample_every=sample_every,
                       omega=model.params.omega, phases=model.delta,
-                      dephasing=(a, v, model.c))
+                      reach=model.phase_spread, dephasing=(a, v, model.c))
     rhs = generators.breuer_rhs if model.name == "breuer" else generators.gup_markov_rhs
     return evolve(rho0, lambda x, t: rhs(x, model, phases=False), t_end, dt,
                   sample_every=sample_every, omega=model.params.omega,

@@ -191,8 +191,10 @@ class TestSimulate:
         diag = json.loads((tmp_path / "s.json").read_text())["diagnostics"]
         assert diag["propagator"] == propagator
         # the step taken, off the exact blocks: of the sample interval's
-        # divisors, 1 and 5 steps, 5 is past either step rule here
-        assert diag.get("step") == (None if propagator == "exact-blocks" else 0.05)
+        # divisors, 1 and 5 steps, 5 is past Lawson's rule here and within
+        # the split step's (h <= 0.28 at c = 2e-5, ν = 8)
+        step = {"exact-blocks": None, "lawson": 0.05, "split4": 0.25}[propagator]
+        assert diag.get("step") == step
         edge = np.loadtxt(tmp_path / "s.csv", delimiter=",", skiprows=1)[:, 2:]
         assert diag["edge_population"] == pytest.approx(np.max(edge.sum(axis=1)),
                                                         rel=1e-10, abs=1e-15)
@@ -372,10 +374,12 @@ class TestSimulate:
 
 class TestLawsonSweep:
     """The constant models' stepped paths, each at its step rule, against the
-    exact blocks: the split step without damping (``SPLIT_STEP_LIMIT`` and
-    ``SPLIT_GROWTH_LIMIT``), Lawson's step with it (``LAWSON_STEP_LIMIT``).
-    Populations within max(1e-10, plain RK4's own error at dt) and |rho_01| no
-    further off than plain RK4's, to omega t = 40 at dt = 0.05."""
+    exact blocks: the split step without damping (h⁴ c ν⁴ <=
+    ``SPLIT_ERROR_LIMIT``, h ν <= ``SPLIT_PHASE_LIMIT`` and
+    ``SPLIT_GROWTH_LIMIT``), sampled every omega t 2, and Lawson's step with
+    it (``LAWSON_STEP_LIMIT``), sampled at omega t 40.  Populations within
+    max(1e-10, plain RK4's own error at dt) and |rho_01| no further off than
+    plain RK4's, on the same grid, to omega t = 40 at dt = 0.05."""
 
     SCALES = {("gup-markov", "weak"): {"omega_tau_g": 1.25e5},
               ("gup-markov", "strong"): {"omega_tau_g": 5e4},
@@ -393,11 +397,30 @@ class TestLawsonSweep:
     @pytest.mark.parametrize("omega_tau_d", [200.0, 300.0, 500.0, 1000.0])
     def test_split_step_between_the_breuer_couplings(self, monkeypatch, omega_tau_d):
         # Lawson's step took h = 2 dt here and ended 1.4e-10 to 1.3e-9 off
-        # the exact state at omega t 200; the split step takes h = 4 dt
+        # the exact state at omega t 200
         self.check(monkeypatch, "breuer", 12, 0.0, {"omega_tau_d": omega_tau_d})
 
+    def test_split_step_at_a_moderate_coupling_between_the_samples(self, monkeypatch):
+        # h = 0.1 by the rule: |1> peaks 2.5e-11 off, RK4 5.1e-11; at a fixed
+        # h = 0.2 it peaked 4.1e-10 off
+        got = self.check(monkeypatch, "breuer", 34, 0.0, {"omega_tau_d": 50.0},
+                         t_end=20.0, dt=0.02, every=100)
+        assert got.step == pytest.approx(0.1)
+
+    def test_split_step_from_high_up_the_ladder(self, monkeypatch):
+        # the strongest coupling of the benchmark's breuer op, at dim 40, where
+        # the rule takes h = 0.4: fock(10) ends 1.7e-10 off in populations,
+        # RK4 2.8e-10
+        got = self.check(monkeypatch, "breuer", 40, 0.0, {"omega_tau_d": 7071.0},
+                         states=(fock.fock_state(10, 40),))
+        assert got.step == pytest.approx(0.4)
+
     @staticmethod
-    def check(monkeypatch, model, dim, gamma, scales):
+    def check(monkeypatch, model, dim, gamma, scales, *, t_end=40.0, dt=0.05,
+              every=None, states=None):
+        """Assert the standard above from each of ``states`` (default
+        superposition01 and |1>), every ``every`` steps (default omega t 2
+        without damping, omega t 40 with it); returns the last run."""
         monkeypatch.setattr(integrate, "EXACT_BLOCK_LIMIT", 0)
         # the two states share the blocks of fock(1): one expm each
         cache = {}
@@ -409,21 +432,22 @@ class TestLawsonSweep:
             return cache[key]
 
         monkeypatch.setattr(integrate, "expm", cached_expm)
+        every = every or (800 if gamma else 40)
         cfg = RunConfig(model=model, dim=dim, gamma_dimless=gamma, beta_bar=1.0,
-                        ap_hw=1e-3, t_end=40.0, dt=0.05, sample_every=800, **scales)
+                        ap_hw=1e-3, t_end=t_end, dt=dt, sample_every=every, **scales)
         cfg.validate()
         m = generators.model(model, cfg.model_params(), dim)
         rhs = generators.breuer_rhs if model == "breuer" else generators.gup_markov_rhs
-        for psi in (fock.superposition01(dim), fock.fock_state(1, dim)):
+        for psi in states or (fock.superposition01(dim), fock.fock_state(1, dim)):
             rho0 = fock.density(psi)
-            exact = integrate.propagate_blocks(rho0, m, 40.0, 0.05,
-                                               sample_every=800).states
-            rk4 = integrate.evolve(rho0, lambda x, t: rhs(x, m), 40.0, 0.05,
-                                   sample_every=800).states
+            exact = integrate.propagate_blocks(rho0, m, t_end, dt,
+                                               sample_every=every).states
+            rk4 = integrate.evolve(rho0, lambda x, t: rhs(x, m), t_end, dt,
+                                   sample_every=every).states
             got = integrate.solve(rho0, m, cfg.t_end, cfg.dt,
                                   sample_every=cfg.sample_every)
             assert got.propagator == ("lawson" if gamma else "split4")
-            assert got.step >= 0.05
+            assert got.step >= dt
 
             def pop(states):
                 return np.max(np.abs(np.diagonal(states - exact, axis1=1, axis2=2)))
@@ -433,6 +457,7 @@ class TestLawsonSweep:
 
             assert pop(got.states) <= max(1e-10, pop(rk4))
             assert coh(got.states) <= coh(rk4)
+        return got
 
 
 class TestEnsemble:
@@ -704,7 +729,7 @@ class TestWigner:
         ("damping-only", 32, 0.03, None),      # exact blocks: order 512
         ("damping-only", 33, 0.03, 0.05),      # Lawson's step: order 545
         ("breuer", 32, 0.0, None),             # exact blocks: order 512
-        ("breuer", 33, 0.0, 0.2),              # split step (order 544), at 4 dt
+        ("breuer", 33, 0.0, 0.4),              # split step (order 544), at 8 dt
         ("gup-nonmarkov", 8, 0.0, 0.05)])      # plain RK4
     def test_evolved_grid_reports_the_step(self, tmp_path, model, dim, gamma, step):
         out = tmp_path / "w.json"

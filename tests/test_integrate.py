@@ -830,14 +830,19 @@ class TestSplit:
         n = np.arange(dim)
         assert not v[n[:, None] % 2 != n[None, :] % 2].any()
 
-    @pytest.mark.parametrize("model", ["breuer", "gup-markov"])
-    def test_matches_the_exact_blocks(self, model):
+    # h ν <= (κ/c)^(1/4): breuer c = 0.01, ν = 4, h <= 0.118; gup-markov
+    # c = 2e-5, ν = 8.04, h <= 0.278
+    # c = 0: no dephasing, one rotation over the whole sample interval
+    @pytest.mark.parametrize("model,step", [("breuer", 0.1), ("gup-markov", 0.25),
+                                            ("damping-only", 2.0)])
+    def test_matches_the_exact_blocks(self, model, step):
         p, form = rk4_form(model, 0.0, 8)
         rho0 = random_density(8, 5)
         exact = integrate.propagate_blocks(rho0, form, 10.0, 0.05, sample_every=40)
         got = integrate.evolve(rho0, None, 10.0, 0.05, sample_every=40,
-                               phases=form.delta, dephasing=(*form.eigenbasis, form.c))
-        assert got.propagator == "split4" and got.step == 0.2
+                               phases=form.delta, reach=form.phase_spread,
+                               dephasing=(*form.eigenbasis, form.c))
+        assert got.propagator == "split4" and got.step == step
         assert np.array_equal(got.times_omega, exact.times_omega)
         assert np.max(np.abs(got.states - exact.states)) < 1e-7
 
@@ -850,9 +855,11 @@ class TestSplit:
         exact = integrate.propagate_blocks(rho0, form, 200.0, 0.05, sample_every=1000)
         errors = []
         for h in (0.2, 0.1):
-            monkeypatch.setattr(integrate, "SPLIT_STEP_LIMIT", h)
+            # the rule's κ for this h, with 1 % to spare
+            kappa = 1.01 * form.c * (h * form.phase_spread) ** 4
+            monkeypatch.setattr(integrate, "SPLIT_ERROR_LIMIT", kappa)
             got = integrate.evolve(rho0, None, 200.0, 0.05, sample_every=1000,
-                                   phases=form.delta,
+                                   phases=form.delta, reach=form.phase_spread,
                                    dephasing=(*form.eigenbasis, form.c))
             assert got.step == h
             errors.append(np.max(np.abs(got.states - exact.states)))
@@ -870,20 +877,24 @@ class TestSplit:
         n = np.arange(12)
         assert not got.states[:, n[:, None] % 2 != n[None, :] % 2].any()
 
-    @pytest.mark.parametrize("c,dt,every,stride", [
-        (0.0, 0.05, 4000, 4),           # h <= SPLIT_STEP_LIMIT
-        (0.0, 0.05, 10, 2),             # 4 does not divide 10
-        (0.0, 0.3, 100, 1),             # dt past SPLIT_STEP_LIMIT: h = dt
-        (20.0, 0.05, 4000, 2),          # |b₂| 3 dt s = 0.43 > 0.4
-        (40.0, 0.05, 4000, 1)])
-    def test_step_is_the_largest_divisor_within_both_limits(self, c, dt, every, stride):
-        assert integrate.SPLIT_STEP_LIMIT == 0.2
+    @pytest.mark.parametrize("c,nu,dt,every,stride", [
+        (0.0, 4.0, 0.05, 4000, 4000),   # no dephasing: h is the sample interval
+        (5e-5, 4.0, 0.05, 4000, 8),     # h⁴ c ν⁴ <= κ: h <= 0.445
+        (5e-5, 4.0, 0.05, 10, 5),       # 8 does not divide 10
+        (5e-5, 4.0, 0.5, 100, 1),       # dt past the rule: h = dt
+        (1e-8, 4.0, 0.05, 40, 10),      # h ν <= 3: h <= 0.75, not 3.7
+        (20.0, 0.1, 0.05, 4000, 2),     # |b₂| 3 dt s = 0.43 > 0.4
+        (40.0, 0.1, 0.05, 4000, 1)])
+    def test_step_is_the_largest_divisor_within_both_limits(self, c, nu, dt, every,
+                                                             stride):
+        assert integrate.SPLIT_ERROR_LIMIT == 5e-4
+        assert integrate.SPLIT_PHASE_LIMIT == 3.0
         assert integrate.SPLIT_GROWTH_LIMIT == 0.4
         # s = c (a_max - a_min)² = c
         a, v = np.array([0.0, 1.0, 0.5]), np.eye(3)
         rho0 = fock.density(fock.superposition01(3))
         res = integrate.evolve(rho0, None, 200.0, dt, sample_every=every,
-                               phases=np.zeros((3, 3)), dephasing=(a, v, c))
+                               phases=np.zeros((3, 3)), reach=nu, dephasing=(a, v, c))
         assert res.step == stride * dt
 
     def test_dt_past_the_backward_flows_limit_is_refused_naming_one_within(self):
